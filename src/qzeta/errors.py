@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-``InputError`` subclasses signal rejected input (CLI exit code 2);
-``VerificationFailure`` signals a failed check batch (exit code 3).
+``InputError`` subclasses signal rejected input (CLI exit code 2).  A
+failed correspondence, theorem or verify-batch check raises nothing: the
+CLI reports it and returns exit code 3 itself.
 """
 
 
@@ -78,11 +79,3 @@ class PathologicalCase(InputError):
 
 class NotPathological(InputError):
     """Constructor for the swapped-branch case got other input."""
-
-
-class PreconditionUnmet(QzetaError):
-    """A theorem verifier was invoked outside its hypotheses."""
-
-
-class VerificationFailure(QzetaError):
-    """A verification batch found a failing instance."""

@@ -39,6 +39,7 @@ from .resolution import (
     oriented_point,
     strict_kind,
     validate_divisor,
+    validate_weights,
     weighted_blowup,
 )
 from .zeta import classify_poles, rupture_components, ztop
@@ -235,20 +236,16 @@ def branch_orbit_analysis(setup: QuotientSetup, spec: DivisorSpec) -> OrbitAnaly
 def exceptional_ramification(setup: QuotientSetup, pq: tuple[int, int]) -> int:
     """Ramification index of the exceptional curve along the quotient map.
 
-    Counts the i in Z/d admitting t with zeta^{ia} = t^p, zeta^{ib} = t^q,
-    enumerating t among the (pqd)-th roots of unity as exponent arithmetic.
+    It is the number of i in Z/d admitting t with zeta_d^{ia} = t^p and
+    zeta_d^{ib} = t^q.  Such t is a (dpq)-th root of unity t = zeta_{dpq}^j,
+    and the two equations read j = iaq (mod dq) and j = ibp (mod dp).  By
+    the Chinese remainder theorem they have a common solution iff
+    iaq = ibp (mod gcd(dq, dp)).  For coprime p, q, gcd(dq, dp) = d, so the
+    condition is i(pb - qa) = 0 (mod d), and exactly gcd(d, pb - qa) values
+    of i satisfy it.
     """
-    d = setup.d
-    p, q = pq
-    mod = d * p * q
-    count = 0
-    for i in range(d):
-        for j in range(mod):
-            # t = zeta_{dpq}^j: t^p = zeta_d^{ia} iff j = i a q (mod d q)
-            if (j - i * setup.a * q) % (d * q) == 0 and (j - i * setup.b * p) % (d * p) == 0:
-                count += 1
-                break
-    return count
+    validate_weights(pq)
+    return gcd(setup.d, orbit_step(setup, pq))
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +352,6 @@ def _assemble(
     # force ramification axes into both graphs so the correspondence is total
     graph_up = _with_forced_axes(graph_up, spec_up, e1, e2)
     e_exc = exceptional_ramification(setup, spec_up.pq)
-    assert e_exc == gcd(d, orbit_step(setup, spec_up.pq))
 
     up_has_x = any(c.id == "Lx" for c in graph_up.components)
     up_has_y = any(c.id == "Ly" for c in graph_up.components)

@@ -14,7 +14,7 @@ nonzero c.  Anything else enters through :func:`graph_from_spec`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -272,14 +272,6 @@ class ResolutionGraph:
     def is_smooth_model(self) -> bool:
         return all(p.order == 1 for p in self.points)
 
-    def with_renamed(self, prefix: str) -> "ResolutionGraph":
-        comps = tuple(replace(c, id=prefix + c.id) for c in self.components)
-        pts = tuple(
-            replace(p, id=prefix + p.id, incident=tuple(prefix + c for c in p.incident))
-            for p in self.points
-        )
-        return ResolutionGraph(self.ambient, comps, pts)
-
 
 def exceptional_connected(graph: ResolutionGraph) -> bool:
     exc = {c.id for c in graph.exceptional}
@@ -379,10 +371,14 @@ class DivisorSpec:
         return self.pq[1]
 
 
-def validate_divisor(spec: DivisorSpec) -> None:
-    p, q = spec.pq
+def validate_weights(pq: tuple[int, int]) -> None:
+    p, q = pq
     if p < 1 or q < 1 or gcd(p, q) != 1:
-        raise InputError(f"blow-up weights must be coprime positive, got {spec.pq}")
+        raise InputError(f"blow-up weights must be coprime positive, got {pq}")
+
+
+def validate_divisor(spec: DivisorSpec) -> None:
+    validate_weights(spec.pq)
     entries = [spec.axis_x, spec.axis_y] + [(b.N, b.w) for b in spec.branches]
     for N, w in entries:
         if N < 0:

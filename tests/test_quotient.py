@@ -1,4 +1,6 @@
+import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -100,10 +102,59 @@ def test_branch_orbit_mixed_multiplicities_rejected(setup_mu2):
         branch_orbit_analysis(setup_mu2, spec)
 
 
+def _brute_ramification(setup: QuotientSetup, pq: tuple[int, int]) -> int:
+    """Counts the i in Z/d admitting t with zeta^{ia} = t^p, zeta^{ib} = t^q,
+    enumerating t among the (pqd)-th roots of unity as exponent arithmetic.
+    """
+    d = setup.d
+    p, q = pq
+    mod = d * p * q
+    count = 0
+    for i in range(d):
+        for j in range(mod):
+            # t = zeta_{dpq}^j: t^p = zeta_d^{ia} iff j = i a q (mod d q)
+            if (j - i * setup.a * q) % (d * q) == 0 and (j - i * setup.b * p) % (d * p) == 0:
+                count += 1
+                break
+    return count
+
+
 def test_exceptional_ramification_examples(setup_mu2):
     assert exceptional_ramification(setup_mu2, (3, 2)) == 1
     assert exceptional_ramification(setup_mu2, (1, 1)) == 2
     assert exceptional_ramification(QuotientSetup(1, 0, 0), (5, 3)) == 1
+
+
+def test_exceptional_ramification_matches_enumeration():
+    weights = [(p, q) for p in range(1, 5) for q in range(1, 5) if gcd(p, q) == 1]
+    for d in range(1, 25):
+        for a in range(d):
+            for b in range(d):
+                if gcd(gcd(d, a), b) != 1:
+                    continue
+                setup = QuotientSetup(d, a, b)
+                for pq in weights:
+                    assert exceptional_ramification(setup, pq) == _brute_ramification(setup, pq)
+
+
+@pytest.mark.parametrize("pq", [(2, 4), (3, 3), (0, 1), (-1, 2)])
+def test_exceptional_ramification_rejects_bad_weights(setup_mu2, pq):
+    with pytest.raises(InputError):
+        exceptional_ramification(setup_mu2, pq)
+
+
+def test_large_d_quotient_is_fast():
+    # X(3000;1,3): the enumeration over Z/d x Z/(dpq) took over a minute
+    setup = QuotientSetup(3000, 1, 3)
+    dbar = DownDivisor(pq=(7, 5), axis_x=Fraction(1))
+    wbar = DownDivisor(pq=(7, 5))
+    t0 = time.perf_counter()
+    build_quotient(setup, dbar, wbar)
+    t1 = time.perf_counter()
+    rep = verify_theorem("A", setup, dbar, wbar)
+    t2 = time.perf_counter()
+    assert rep.verdict == "holds"
+    assert t1 - t0 < 2.0 and t2 - t1 < 2.0
 
 
 def test_build_quotient_fixture_orders(pair_x4y6, pair_x4y10):

@@ -19,13 +19,15 @@ from .engraph import en_graph, en_to_dot
 from .errors import InputError, PathologicalCase, QzetaError
 from .instances import Instance, load_instance
 from .quotient import (
+    _pathological_data,
     build_quotient,
+    lift_pair,
     pathological_zeta,
     verify_correspondence,
     verify_theorem,
 )
 from .cyclic import PLANE
-from .resolution import insert_hj_chains, weighted_blowup
+from .resolution import NumericalData, insert_hj_chains, weighted_blowup
 from .serialize import (
     frac_to_str,
     graph_to_json,
@@ -124,16 +126,10 @@ def _instance_graphs(inst: Instance):
     try:
         pair = build_quotient(inst.surface, dbar, wbar)
     except PathologicalCase:
-        N, nu = _swapped_pair_data(inst)
+        N, nu = _pathological_data(dbar, wbar)
         _, _, graph_down = pathological_zeta(inst.surface, N, nu)
         return graph_down, None
     return pair.graph_down, pair
-
-
-def _swapped_pair_data(inst: Instance):
-    dbar, wbar = inst.down_pair
-    label, N = dbar.branches[0]
-    return N, 1 + wbar.branch_coeff(label)
 
 
 def cmd_resolve(args) -> int:
@@ -170,11 +166,7 @@ def cmd_zeta(args) -> int:
         and not inst.spec.branches
     ):
         # Q-normal-crossing at the origin: cross-check the direct formula
-        from .quotient import lift_pair
-
         spec_up = lift_pair(inst.surface, *inst.down_pair)
-        from .resolution import NumericalData
-
         lemma = ztop_nc_quotient(
             inst.surface.d,
             NumericalData(spec_up.axis_x[0], 1 + spec_up.axis_x[1]),
@@ -213,7 +205,7 @@ def cmd_quotient(args) -> int:
         pair = build_quotient(setup, dbar, wbar)
     except PathologicalCase:
         pair = None
-        N, nu = _swapped_pair_data(inst)
+        N, nu = _pathological_data(dbar, wbar)
         down, up, graph_down = pathological_zeta(setup, N, nu)
         print(f"swapped-branch configuration on X({setup.d};{setup.a},{setup.b})")
         print(f"Ztop downstairs = {down.render()}")

@@ -26,10 +26,6 @@ class DuplicateBranch(InputError):
     """Two branches share the same coefficient class."""
 
 
-class NotResolved(InputError):
-    """A single weighted blow-up does not separate the listed components."""
-
-
 class AdjunctionViolation(InputError):
     """An exceptional component violates sum(alpha_P - 1) = 2g - 2."""
 

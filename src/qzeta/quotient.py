@@ -26,7 +26,7 @@ from .errors import (
     PathologicalCase,
     UnsupportedOrbit,
 )
-from .ratfunc import Poly, RatFunc
+from .ratfunc import RatFunc
 from .resolution import (
     BranchEntry,
     CClass,
@@ -42,7 +42,7 @@ from .resolution import (
     validate_weights,
     weighted_blowup,
 )
-from .zeta import classify_poles, rupture_components, ztop
+from .zeta import classify_poles, rupture_components, zeta_from_terms, ztop, ztop_nc_quotient
 
 
 def _frac(x) -> Fraction:
@@ -498,7 +498,8 @@ def pathological_zeta(
     Upstairs D = N(C1 + C2), W = (nu - 1)(C1 + C2) is normal crossing with
     Ztop = 1/(Ns + nu)^2; downstairs the total transform fails Q-normal
     crossing and one (1,1)-blow-up yields
-    Ztop = (d/4)(3Ns + 3nu + 1)/(Ns + nu)^2.  Returns (down, up, graph_down).
+    Ztop = (d/4)(3Ns + 3nu + 1)/(Ns + nu)^2
+         = (3d/4)/(Ns + nu) + (d/4)/(Ns + nu)^2.  Returns (down, up, graph_down).
     """
     N = _frac(N)
     nu = _frac(nu)
@@ -509,11 +510,9 @@ def pathological_zeta(
         raise NotPathological(
             f"(d;a,b)=({d};{setup.a},{setup.b}) does not satisfy 2(b-a) = d"
         )
-    form = Poly.linear_form(nu, N)
-    up = RatFunc(Poly.const(1), form * form)
-    down_closed = RatFunc(
-        Poly.const(Fraction(d, 4)) * Poly.linear_form(3 * nu + 1, 3 * N), form * form
-    )
+    data = NumericalData(N, nu)
+    up = ztop_nc_quotient(1, data, data)
+    down_closed = zeta_from_terms([(Fraction(3 * d, 4), (data,)), (Fraction(d, 4), (data, data))])
 
     e_data = NumericalData(4 * N / d, 4 * nu / d)
     comps = [
@@ -680,21 +679,21 @@ def verify_theorem(
             },
         )
 
-    # Theorem C
+    # Theorem C; the ratio z_down / z_up need not split over Q, so the
+    # evidence records both sides
     z_up = ztop(pair.graph_up)
     z_down = ztop(pair.graph_down)
-    ratio = z_down / z_up
     if not all(o.invariant for o in pair.analysis.orbits):
         return TheoremReport(
             "C",
             "not-applicable",
-            {"reason": "a branch orbit has size > 1", "ratio": ratio},
+            {"reason": "a branch orbit has size > 1", "z_up": z_up, "z_down": z_down},
         )
     holds = z_down == z_up * setup.d
     return TheoremReport(
         "C",
         "holds" if holds else "fails",
-        {"ratio": ratio, "d": setup.d},
+        {"z_up": z_up, "z_down": z_down, "d": setup.d},
     )
 
 
@@ -740,7 +739,8 @@ def _verify_on_pathological(
         "not-applicable",
         {
             "reason": "branches form one orbit (swapped pair)",
-            "ratio": ratio,
+            "z_up": z_up,
+            "z_down": z_down,
             "ratio_constant": ratio.num.degree <= 0 and ratio.den.degree <= 0,
         },
     )

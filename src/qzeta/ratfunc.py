@@ -1,8 +1,11 @@
 """Exact univariate rational functions over Q in the variable s.
 
-Denominators occurring in zeta functions are products of linear forms
-nu + N*s, so reduced denominators always split into rational linear
-factors; ``RatFunc.poles`` relies on that.
+Zeta functions are built by ``RatFunc.from_partial_fractions``: their
+poles are the known roots -nu/N of linear forms nu + N*s, so the result
+carries its factorisation and ``poles``, ``residue`` and ``render`` read it
+off.  ``Poly.rational_roots`` serves only a ``RatFunc`` built from
+arbitrary polynomials, once, on the first query; such a denominator must
+split into rational linear factors.
 """
 
 from __future__ import annotations
@@ -217,13 +220,19 @@ def _divisors(n: int) -> list[int]:
 
 
 class RatFunc:
-    """Reduced fraction of polynomials; denominator kept monic."""
+    """Reduced fraction of polynomials; denominator kept monic.
 
-    __slots__ = ("num", "den")
+    ``num``/``den`` are the canonical state.  ``_poles`` is the
+    factorisation of ``den`` as {root: multiplicity}, or None until first
+    needed.
+    """
+
+    __slots__ = ("num", "den", "_poles")
 
     def __init__(self, num: Poly, den: Poly):
         if den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
+        self._poles = None
         if num.is_zero:
             self.num, self.den = Poly(), Poly.const(1)
             return
@@ -233,6 +242,32 @@ class RatFunc:
         lead = den.lead
         self.num = Poly([c / lead for c in num.coeffs])
         self.den = den.monic()
+
+    @classmethod
+    def from_partial_fractions(cls, const, parts) -> "RatFunc":
+        """const + sum over s0 of c1/(s - s0) + c2/(s - s0)^2.
+
+        ``parts`` maps each s0 to (c1, c2).  Zero parts are dropped; every
+        other part is a pole of order 2 when c2 != 0 and 1 otherwise, so the
+        result is reduced without a gcd.
+        """
+        parts = {
+            _frac(s0): (_frac(c1), _frac(c2)) for s0, (c1, c2) in parts.items() if c1 or c2
+        }
+        poles = {s0: 2 if c2 else 1 for s0, (_, c2) in parts.items()}
+        den = Poly.const(1)
+        for s0, order in poles.items():
+            for _ in range(order):
+                den = den * Poly.linear_form(-s0, 1)
+        num = den * _frac(const)
+        for s0, (c1, c2) in parts.items():
+            cof = den // Poly.linear_form(-s0, 1)
+            num = num + cof * c1
+            if c2:
+                num = num + cof // Poly.linear_form(-s0, 1) * c2
+        self = cls.__new__(cls)
+        self.num, self.den, self._poles = num, den, poles
+        return self
 
     @classmethod
     def const(cls, c) -> "RatFunc":
@@ -301,37 +336,43 @@ class RatFunc:
             raise ZeroDivisionError(f"pole at {x}")
         return self.num.eval(x) / d
 
+    def _factorisation(self) -> dict[Fraction, int]:
+        if self._poles is None:
+            roots = self.den.rational_roots()
+            if sum(roots.values()) != self.den.degree:
+                raise ArithmeticError("denominator does not split into rational factors")
+            self._poles = roots
+        return self._poles
+
     def poles(self) -> dict[Fraction, int]:
         """Poles with orders; the reduced denominator must split over Q."""
-        if self.is_zero:
-            return {}
-        roots = self.den.rational_roots()
-        if sum(roots.values()) != self.den.degree:
-            raise ArithmeticError("denominator does not split into rational factors")
-        return roots
+        return dict(self._factorisation())
 
     def pole_order(self, s0) -> int:
-        return self.poles().get(_frac(s0), 0)
+        return self._factorisation().get(_frac(s0), 0)
 
     def residue(self, s0) -> Fraction:
         """Residue at a pole of order <= 1 (0 when s0 is not a pole)."""
         s0 = _frac(s0)
-        order = self.pole_order(s0)
+        poles = self._factorisation()
+        order = poles.get(s0, 0)
         if order == 0:
             return Fraction(0)
         if order > 1:
             raise InputError(f"residue at pole of order {order}")
-        rest = self.den // Poly.linear_form(-s0, 1)
-        return self.num.eval(s0) / rest.eval(s0)
+        # the monic denominator over (s - s0), evaluated at s0
+        rest = Fraction(1)
+        for s1, mult in poles.items():
+            if s1 != s0:
+                rest *= (s0 - s1) ** mult
+        return self.num.eval(s0) / rest
 
     def render(self, var: str = "s") -> str:
         """Canonical string: integer-cleared content-free P/Q, factored Q."""
         if self.is_zero:
             return "0"
         nprim, ncont = self.num.integer_cleared()
-        roots = self.den.rational_roots()
-        if sum(roots.values()) != self.den.degree:
-            raise ArithmeticError("denominator does not split into rational factors")
+        roots = self._factorisation()
         # monic den = prod (s - root)^mult = extra * prod(primitive factors)
         factors = []
         extra = Fraction(1)

@@ -18,14 +18,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .cyclic import PLANE, ActionSpec, CyclicType, hj_expand, smallify_action
+from .cyclic import PLANE, ActionSpec, CyclicType, HJChain, hj_expand, smallify_action
 from .errors import (
     AdjunctionViolation,
     DuplicateBranch,
     EmptyDivisor,
     InputError,
     LogPoleOutsideD,
-    NotResolved,
     ZeroN,
 )
 
@@ -426,8 +425,6 @@ def weighted_blowup(ambient: CyclicType, spec: DivisorSpec) -> ResolutionGraph:
         return build_quotient_from_spec(setup, spec).graph_down
     p, q = spec.pq
     (N_x, w_x), (N_y, w_y) = spec.axis_x, spec.axis_y
-    if len({b.c for b in spec.branches}) != len(spec.branches):
-        raise NotResolved("repeated branch coefficient")
     N_E = p * q * sum((b.N for b in spec.branches), Fraction(0)) + p * N_x + q * N_y
     nu_E = (
         Fraction(p + q)
@@ -532,8 +529,8 @@ def graph_from_spec(description: dict) -> ResolutionGraph:
 # Hirzebruch-Jung chain insertion
 
 
-def _chain_numbers(point: MarkedPoint) -> tuple[int, ...]:
-    """Self-intersection numbers of the chain resolving the point.
+def _chain(point: MarkedPoint) -> HJChain:
+    """Hirzebruch-Jung chain resolving the point.
 
     For an oriented local type (m;1,q), the chain read from the {x=0} end is
     the expansion of m / (q^{-1} mod m); see the toric fan of the germ.
@@ -541,7 +538,7 @@ def _chain_numbers(point: MarkedPoint) -> tuple[int, ...]:
     m = point.order
     q = point.local_type.unit_a_weight()
     q_from_x = pow(q, -1, m)
-    return hj_expand(m, q_from_x).ks
+    return hj_expand(m, q_from_x)
 
 
 def insert_hj_chains(graph: ResolutionGraph) -> ResolutionGraph:
@@ -559,10 +556,8 @@ def insert_hj_chains(graph: ResolutionGraph) -> ResolutionGraph:
             points.append(point)
             continue
         m = point.order
-        ks = _chain_numbers(point)
-        r = len(ks)
-        det = _chain_delta(ks)
-        assert det(1, r) == m
+        chain = _chain(point)
+        ks, r, det = chain.ks, chain.length, chain.delta
         d_A, d_B = graph.incident_data(point)
         a_id = point.incident[0] if point.incident else None
         b_id = point.incident[1] if len(point.incident) == 2 else None
@@ -600,20 +595,3 @@ def insert_hj_chains(graph: ResolutionGraph) -> ResolutionGraph:
             )
     return ResolutionGraph(graph.ambient, tuple(comps), tuple(points))
 
-
-def _chain_delta(ks: tuple[int, ...]):
-    """delta(k, ell) on an arbitrary k-vector, with end conventions."""
-
-    def det(k: int, ell: int) -> int:
-        if ell == k - 1:
-            return 1
-        if ell == k - 2:
-            return 0
-        prev2, prev = 0, 1
-        val = 1
-        for t in range(k, ell + 1):
-            val = ks[t - 1] * prev - prev2
-            prev2, prev = prev, val
-        return abs(val)
-
-    return det

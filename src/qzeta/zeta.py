@@ -7,9 +7,12 @@ Q-resolution is
     + sum_{P marked} m_P / ((nu_1 + N_1 s)(nu_2 + N_2 s)),
 
 with the two linear forms at a point taken from its incident components
-(imaginary curvette (0,1) for a missing incidence).  Pole orders of the
-reduced rational function are the source of truth on the topological side;
-the combinatorial classification below decides the motivic side.
+(imaginary curvette (0,1) for a missing incidence).  Every pole is a root
+-nu/N of a known form, so each term splits into partial fractions in closed
+form and the sum is built once from them, carrying its poles; no root
+finding runs on this path.  Pole orders of the reduced rational function
+are the source of truth on the topological side; the combinatorial
+classification below decides the motivic side.
 """
 
 from __future__ import annotations
@@ -18,12 +21,44 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import OrderTwo, ZeroAlpha, ZeroDenominatorForm
-from .ratfunc import Poly, RatFunc
+from .ratfunc import RatFunc
 from .resolution import NumericalData, ResolutionGraph
 
 
-def _form(data: NumericalData) -> Poly:
-    return Poly.linear_form(data.nu, data.N)
+def zeta_from_terms(terms) -> RatFunc:
+    """Sum of c / prod(forms) over ``terms``, pairs (c, forms) of one or two
+    ``NumericalData`` with no (0, 0) form, from its partial fractions.
+
+    chi/(nu + N s) is chi/N at -nu/N; m/((nu1 + N1 s)(nu2 + N2 s)) is
+    +-m/(N1 N2 (a - b)) at the roots a != b, or m/(N1 N2) on the square when
+    a = b; a form with N = 0 is the constant nu.
+    """
+    const = Fraction(0)
+    parts: dict[Fraction, list[Fraction]] = {}
+
+    def add(s0, k, c):
+        parts.setdefault(s0, [Fraction(0), Fraction(0)])[k] += c
+
+    for c, forms in terms:
+        c = Fraction(c)
+        roots = []
+        for f in forms:
+            if f.N == 0:
+                c /= f.nu
+            else:
+                c /= f.N
+                roots.append(-f.nu / f.N)
+        if not roots:
+            const += c
+        elif len(roots) == 1:
+            add(roots[0], 0, c)
+        elif roots[0] == roots[1]:
+            add(roots[0], 1, c)
+        else:
+            a, b = roots
+            add(a, 0, c / (a - b))
+            add(b, 0, c / (b - a))
+    return RatFunc.from_partial_fractions(const, parts)
 
 
 def ztop(graph: ResolutionGraph) -> RatFunc:
@@ -31,15 +66,13 @@ def ztop(graph: ResolutionGraph) -> RatFunc:
     for comp in graph.components:
         if comp.data.is_zero_form:
             raise ZeroDenominatorForm(f"component {comp.id!r} has data (0,0)")
-    total = RatFunc.zero()
-    for comp in graph.exceptional:
-        chi = graph.euler_open(comp.id)
-        if chi:
-            total = total + RatFunc(Poly.const(chi), _form(comp.data))
-    for point in graph.points:
-        d1, d2 = graph.incident_data(point)
-        total = total + RatFunc(Poly.const(point.order), _form(d1) * _form(d2))
-    return total
+    terms = [
+        (chi, (comp.data,))
+        for comp in graph.exceptional
+        if (chi := graph.euler_open(comp.id))
+    ]
+    terms += [(point.order, graph.incident_data(point)) for point in graph.points]
+    return zeta_from_terms(terms)
 
 
 def ztop_nc_quotient(group_order: int, d1: NumericalData, d2: NumericalData) -> RatFunc:
@@ -50,7 +83,7 @@ def ztop_nc_quotient(group_order: int, d1: NumericalData, d2: NumericalData) -> 
     """
     if d1.is_zero_form or d2.is_zero_form:
         raise ZeroDenominatorForm("normal-crossing datum (0,0)")
-    return RatFunc(Poly.const(group_order), _form(d1) * _form(d2))
+    return zeta_from_terms([(group_order, (d1, d2))])
 
 
 def realizing_components(graph: ResolutionGraph, s0: Fraction):
@@ -182,7 +215,7 @@ def classify_poles(graph: ResolutionGraph) -> PoleReport:
     one of the clauses fires: (i) a strict transform inside D or D cap W,
     (ii) a non-rational exceptional curve, (iii) a cycle of rational
     exceptional curves, (iv) a rupture component.  Topological orders are
-    read off the reduced rational function.
+    read off the poles Ztop carries.
     """
     z = ztop(graph)
     top = z.poles()

@@ -201,3 +201,27 @@ def test_resolve_quotient_emits_both_graphs(tmp_path, capsys):
     down = json.loads((out_dir / "graph.json").read_text())
     up = json.loads((out_dir / "graph_up.json").read_text())
     assert down["ambient"]["m"] == 2 and up["ambient"]["m"] == 1
+
+
+def test_quotient_command_orbit_of_two_branches(tmp_path, capsys):
+    # Theorem C is not applicable here, and z_down / z_up does not split
+    # over Q; its evidence used to crash the JSON export
+    doc = {
+        "schema": "qres-instance/1",
+        "surface": {"kind": "cyclic_quotient", "d": 10, "a": 9, "b": 0},
+        "mode": "weighted_homogeneous",
+        "divisor": {
+            "pq": [5, 6],
+            "axis_x": {"N": "0", "w": "3"},
+            "axis_y": {"N": "4", "w": "3"},
+            "branches": [{"label": "c0", "N": "4", "w": "-1/2"}],
+        },
+    }
+    path = write_instance(tmp_path, "orbit.json", doc)
+    out_dir = tmp_path / "orbit"
+    assert main(["quotient", "--input", path, "--out", str(out_dir)]) == 0
+    assert "theorem C: not-applicable" in capsys.readouterr().out
+    payload = json.loads((out_dir / "quotient.json").read_text())
+    (thm_c,) = [t for t in payload["theorems"] if t["theorem"] == "C"]
+    assert thm_c["evidence"]["reason"] == "a branch orbit has size > 1"
+    assert thm_c["evidence"]["z_down"] == "-1(8s^2-199s-32)/(2(8s+1)(624s+149)(s+1))"

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qzeta import Poly, RatFunc
 from qzeta.errors import InputError
@@ -60,3 +62,46 @@ def test_render_constant_and_zero():
     assert RatFunc.const(Fraction(3, 2)).render() == "3/2"
     assert RatFunc.zero().render() == "0"
     assert RatFunc(Poly.const(4), lin(1, 1) * lin(1, 1)).render() == "4/(s+1)^2"
+
+
+def test_from_partial_fractions_fixture():
+    # 3/(s+1) - 2/(s+1)^2 + 1/(s+7/6) + 1/2, with a dropped zero part
+    z = RatFunc.from_partial_fractions(
+        Fraction(1, 2), {-1: (3, -2), Fraction(-7, 6): (1, 0), 5: (0, 0)}
+    )
+    expected = (
+        RatFunc(Poly.const(3), lin(1, 1))
+        + RatFunc(Poly.const(-2), lin(1, 1) * lin(1, 1))
+        + RatFunc(Poly.const(6), lin(7, 6))
+        + RatFunc.const(Fraction(1, 2))
+    )
+    assert z == expected
+    assert z.poles() == {Fraction(-1): 2, Fraction(-7, 6): 1}
+    assert z.residue(Fraction(-7, 6)) == 1
+    assert z.render() == expected.render()
+    assert RatFunc.from_partial_fractions(0, {1: (0, 0)}) == RatFunc.zero()
+    assert RatFunc.from_partial_fractions(Fraction(3, 2), {}).render() == "3/2"
+
+
+small = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    const=small,
+    parts=st.dictionaries(small, st.tuples(small, small), max_size=5),
+    s=small,
+)
+def test_from_partial_fractions_round_trip(const, parts, s):
+    z = RatFunc.from_partial_fractions(const, parts)
+    # the gcd route is the oracle for the reduced P/Q and its roots
+    general = RatFunc.const(const)
+    for s0, (c1, c2) in parts.items():
+        x = Poly.linear_form(-s0, 1)
+        general = general + RatFunc(Poly.const(c1), x) + RatFunc(Poly.const(c2), x * x)
+    assert z == general
+    assert z.poles() == general.poles()
+    if s in parts:
+        return
+    direct = const + sum(c1 / (s - s0) + c2 / (s - s0) ** 2 for s0, (c1, c2) in parts.items())
+    assert z.eval(s) == direct

@@ -15,7 +15,7 @@ from qzeta import (
     ztop,
     ztop_nc_quotient,
 )
-from qzeta.errors import OrderTwo, ZeroDenominatorForm
+from qzeta.errors import OrderTwo, ZeroAlpha, ZeroDenominatorForm
 
 
 def lin(nu, N):
@@ -164,3 +164,124 @@ def test_non_rational_clause_motivic_only():
     witness = hodge_residue(g, Fraction(-1))
     assert not witness.is_zero  # H-image is (u-1)(v-1)/N up to the prefactor
     assert euler_specialize(witness) == RatFunc.zero()
+
+
+def _gcd_route(graph):
+    """Ztop summed term by term through the gcd-reducing RatFunc.__add__."""
+    total = RatFunc.zero()
+    for comp in graph.exceptional:
+        chi = graph.euler_open(comp.id)
+        if chi:
+            total = total + RatFunc(Poly.const(chi), lin(comp.data.nu, comp.data.N))
+    for point in graph.points:
+        d1, d2 = graph.incident_data(point)
+        total = total + RatFunc(Poly.const(point.order), lin(d1.nu, d1.N) * lin(d2.nu, d2.N))
+    return total
+
+
+def _oracle_graphs(draws, seed, smooth=True):
+    """verify._random_graphs draws, each followed by its smooth model."""
+    import random
+
+    from qzeta.verify import _random_graphs
+
+    rng = random.Random(seed)
+    for _ in range(draws):
+        for g in _random_graphs(rng):
+            yield g
+            if smooth:
+                yield insert_hj_chains(g)
+
+
+def test_ztop_matches_gcd_route_poles_and_residues():
+    for g in _oracle_graphs(200, 20261018):
+        z = ztop(g)
+        assert z == _gcd_route(g)
+        assert z.poles() == z.den.rational_roots()
+        for s0 in g.candidate_poles():
+            try:
+                res = top_residue(g, s0)
+            except (OrderTwo, ZeroAlpha):
+                continue
+            assert z.residue(s0) == res
+
+
+def test_ztop_path_runs_no_root_finding(monkeypatch):
+    graphs = list(_oracle_graphs(20, 5))
+
+    def refuse(self):
+        raise AssertionError("root finding on the ztop path")
+
+    monkeypatch.setattr(Poly, "rational_roots", refuse)
+    for g in graphs:
+        z = ztop(g)
+        z.render()
+        for s0, order in z.poles().items():
+            if order == 1:
+                z.residue(s0)
+        classify_poles(g)
+
+
+def test_ztop_agrees_with_sympy_apart():
+    sympy = pytest.importorskip("sympy")
+    s = sympy.Symbol("s")
+
+    def rat(x):
+        return sympy.Rational(x.numerator, x.denominator)
+
+    def form(d):
+        return rat(d.nu) + rat(d.N) * s
+
+    def poly(p):
+        return sum(rat(c) * s**i for i, c in enumerate(p.coeffs))
+
+    for g in _oracle_graphs(8, 7, smooth=False):
+        terms = [
+            sympy.Integer(g.euler_open(c.id)) / form(c.data)
+            for c in g.exceptional
+            if g.euler_open(c.id)
+        ]
+        for p in g.points:
+            d1, d2 = g.incident_data(p)
+            terms.append(sympy.Integer(p.order) / (form(d1) * form(d2)))
+        expr = sympy.Add(*terms)
+        z = ztop(g)
+        ours = poly(z.num) / poly(z.den)
+        assert sympy.cancel(expr - ours) == 0
+        # sympy's own split, rebuilt through from_partial_fractions
+        const, parts = Fraction(0), {}
+        for t in sympy.Add.make_args(sympy.apart(expr, s)):
+            _, den = t.as_numer_denom()
+            if not den.has(s):
+                const += Fraction(str(t))
+                continue
+            ((root, k),) = sympy.roots(sympy.Poly(den, s)).items()
+            c = sympy.cancel(t * (s - root) ** k)
+            parts.setdefault(Fraction(str(root)), [0, 0])[k - 1] += Fraction(str(c))
+        assert RatFunc.from_partial_fractions(const, parts) == z
+        assert z.poles() == {s0: 2 if c2 else 1 for s0, (c1, c2) in parts.items() if c1 or c2}
+
+
+def test_big_rational_plane_instance_is_fast():
+    # cleared denominators with 62-bit coefficients: trial-division root
+    # finding did not finish in 120 s
+    import time
+
+    from qzeta import PLANE, BranchEntry, CClass, DivisorSpec, weighted_blowup
+
+    N = Fraction(10**6 + 1, 10**6 + 3)
+    W = Fraction(10**6 + 7, 10**6 + 1)
+    spec = DivisorSpec(
+        pq=(3, 2),
+        axis_x=(Fraction(0), W),
+        branches=tuple(BranchEntry(f"b{k}", CClass("c", k), N, Fraction(0)) for k in range(2)),
+    )
+    g = weighted_blowup(PLANE, spec)
+    for step in (ztop, lambda g: ztop(g).poles(), lambda g: ztop(g).render(), classify_poles):
+        start = time.perf_counter()
+        step(g)
+        assert time.perf_counter() - start < 2.0
+    z = ztop(g)
+    assert classify_poles(g).top_poles() == z.poles()
+    assert set(z.poles()) <= g.candidate_poles()
+    assert z == _gcd_route(g)

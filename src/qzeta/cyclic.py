@@ -47,10 +47,6 @@ class CyclicType:
         return self.m
 
     @property
-    def is_trivial(self) -> bool:
-        return self.m == 1
-
-    @property
     def is_small(self) -> bool:
         return gcd(self.m, self.a) == 1 and gcd(self.m, self.b) == 1
 
@@ -132,10 +128,6 @@ def enumerate_action(spec: ActionSpec) -> set[tuple[int, int]]:
                 elems.add(nxt)
                 frontier.append(nxt)
     return elems
-
-
-def group_order(spec: ActionSpec) -> int:
-    return len(enumerate_action(spec))
 
 
 def smith_invariants_2xk(rows: list[list[int]]) -> tuple[int, int]:

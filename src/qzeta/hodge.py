@@ -9,7 +9,10 @@ over the union multiset of factors and compare monomial dictionaries.
 
 The Euler specialization substitutes uv = 1 + eps, u + v = 2 and extracts
 the constant term of the resulting Laurent series in eps; each denominator
-factor contributes eps * ((nu + N*s) + O(eps)).
+factor contributes eps * ((nu + N*s) + O(eps)).  Every Laurent coefficient
+of a term has a power of the term's own forms nu + N*s as denominator, so
+it is split at their roots -nu/N and the result is built from its partial
+fractions.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .errors import (
     ZeroAlpha,
     ZeroDenominatorForm,
 )
-from .ratfunc import Poly, RatFunc
+from .ratfunc import Poly, RatFunc, partial_fractions
 from .resolution import ResolutionGraph
 
 # monomial key: (A, B, g) for (uv)^(A + B*s) * (u+v)^g
@@ -61,12 +64,6 @@ def _dict_mul(a: MonoDict, b: MonoDict) -> MonoDict:
             else:
                 out.pop(key, None)
     return out
-
-
-def _factor_dict(factor: tuple[Fraction, Fraction]) -> MonoDict:
-    """(uv)^(nu + N*s) - 1 as a monomial dictionary; factor = (N, nu)."""
-    N, nu = factor
-    return {(nu, N, 0): Fraction(1), ONE: Fraction(-1)}
 
 
 UV_MINUS_1: MonoDict = {UV: Fraction(1), ONE: Fraction(-1)}
@@ -290,39 +287,62 @@ def _poly_series_mul(a: list[Poly], b: list[Poly], n: int) -> list[Poly]:
 def euler_specialize(expr: HodgeExpr) -> RatFunc:
     """Exact limit u, v -> 1 of a Hodge expression, as a rational function in s.
 
-    Per term we divide the numerator series by the product of the factor
-    series eps*((nu + N*s) + O(eps)); negative Laurent orders must cancel
-    in the sum or :class:`IndeterminateLimit` is raised.
+    A term with k factors is eps^(-k) times its numerator series num over
+    the product unit of the factor series, whose constant term is
+    u0 = prod(nu + N*s).  With v the first nonzero order of num, its
+    coefficient of eps^(v+j-k) is R_j / u0^(j+1), where
+    R_j = num[v+j] u0^j - sum_{l<j} R_l unit[j-l] u0^(j-1-l).  Each is split
+    at the roots -nu/N and summed per Laurent order.  Partial fractions are
+    unique, so a negative order vanishes exactly when all its coefficients
+    do; otherwise :class:`IndeterminateLimit` is raised.
     """
-    if not expr.terms:
-        return RatFunc.zero()
-    kmax = max(len(t.den) for t in expr.terms)
-    laurent = [RatFunc.zero() for _ in range(kmax + 1)]
+    # Laurent order -> [polynomial part, {root: [c1, c2, ...]}]
+    orders: dict[int, list] = {}
     for t in expr.terms:
         k = len(t.den)
-        n = k + 1
-        num_series = _num_series(t.num, n)
-        unit = [Poly.const(1)] + [Poly()] * (n - 1)
+        scale = Fraction(1)
+        roots: dict[Fraction, int] = {}
         for N, nu in t.den:
-            unit = _poly_series_mul(unit, _binom_polys(nu, N, n + 1)[1:], n)
-        # divide num_series by unit over Q(s)
-        u0 = RatFunc.from_poly(unit[0])
-        quots: list[RatFunc] = []
-        for i in range(n):
-            acc = RatFunc.from_poly(num_series[i])
-            for j in range(i):
-                if not quots[j].is_zero and not unit[i - j].is_zero:
-                    acc = acc - quots[j] * RatFunc.from_poly(unit[i - j])
-            quots.append(acc / u0)
-        for i in range(n):
-            if not quots[i].is_zero:
-                laurent[kmax - k + i] = laurent[kmax - k + i] + quots[i]
-    for i in range(kmax):
-        if not laurent[i].is_zero:
-            raise IndeterminateLimit(
-                f"pole of order {kmax - i} in eps survives specialization"
+            if N:
+                scale *= N
+                roots[-nu / N] = roots.get(-nu / N, 0) + 1
+            elif nu:
+                scale *= nu
+            else:
+                raise ZeroDenominatorForm("Hodge term with a factor (uv)^0 - 1")
+        num_series = _num_series(t.num, k + 1)
+        v = next((i for i, p in enumerate(num_series) if not p.is_zero), None)
+        if v is None:
+            continue
+        # orders v - k .. 0 need the factor series only up to eps^(k - v)
+        depth = k + 1 - v
+        unit = [Poly.const(1)] + [Poly()] * (depth - 1)
+        for N, nu in t.den:
+            unit = _poly_series_mul(unit, _binom_polys(nu, N, depth + 1)[1:], depth)
+        u0 = unit[0]
+        u0_pows = [Poly.const(1)]
+        rs: list[Poly] = []
+        for j in range(depth):
+            r = num_series[v + j] * u0_pows[j]
+            for i, ri in enumerate(rs):
+                r = r - ri * unit[j - i] * u0_pows[j - 1 - i]
+            rs.append(r)
+            u0_pows.append(u0_pows[j] * u0)
+            poly, parts = partial_fractions(
+                r * (1 / scale ** (j + 1)), {a: m * (j + 1) for a, m in roots.items()}
             )
-    return laurent[kmax]
+            acc = orders.setdefault(v + j - k, [Poly(), {}])
+            acc[0] = acc[0] + poly
+            for a, cs in parts.items():
+                have = acc[1].setdefault(a, [])
+                have.extend([Fraction(0)] * (len(cs) - len(have)))
+                for i, c in enumerate(cs):
+                    have[i] += c
+    for order in sorted(orders):
+        poly, parts = orders[order]
+        if order < 0 and (not poly.is_zero or any(c for cs in parts.values() for c in cs)):
+            raise IndeterminateLimit(f"pole of order {-order} in eps survives specialization")
+    return RatFunc.from_partial_fractions(*orders.get(0, (0, {})))
 
 
 # ---------------------------------------------------------------------------

@@ -733,7 +733,7 @@ def _verify_on_pathological(
             "holds" if holds else "fails",
             {"top_up": z_up.poles(), "top_down": z_down.poles(), "mot_down": mot_down},
         )
-    ratio = z_down / z_up
+    # z_down / z_up is a constant exactly when z_down is a scalar multiple of z_up
     return TheoremReport(
         "C",
         "not-applicable",
@@ -741,6 +741,6 @@ def _verify_on_pathological(
             "reason": "branches form one orbit (swapped pair)",
             "z_up": z_up,
             "z_down": z_down,
-            "ratio_constant": ratio.num.degree <= 0 and ratio.den.degree <= 0,
+            "ratio_constant": z_down == z_up * (z_down.num.lead / z_up.num.lead),
         },
     )

@@ -1,11 +1,12 @@
 """Exact univariate rational functions over Q in the variable s.
 
-Zeta functions are built by ``RatFunc.from_partial_fractions``: their
-poles are the known roots -nu/N of linear forms nu + N*s, so the result
-carries its factorisation and ``poles``, ``residue`` and ``render`` read it
-off.  ``Poly.rational_roots`` serves only a ``RatFunc`` built from
-arbitrary polynomials, once, on the first query; such a denominator must
-split into rational linear factors.
+Every ``RatFunc`` is built from its partial fractions at known roots by
+``RatFunc.from_partial_fractions``: the poles of a zeta function are roots
+-nu/N of known linear forms nu + N*s.  ``partial_fractions`` splits
+P / prod (s - a)^m at roots already known, by a Taylor shift at each root,
+so neither a polynomial gcd nor root finding is ever needed.  The result
+carries its factorisation, and ``poles``, ``residue`` and ``render`` read
+it off.
 """
 
 from __future__ import annotations
@@ -109,29 +110,12 @@ class Poly:
     def __floordiv__(self, other):
         return self.divmod(other)[0]
 
-    def __mod__(self, other):
-        return self.divmod(other)[1]
-
-    def monic(self) -> "Poly":
-        if self.is_zero:
-            return self
-        return Poly([c / self.lead for c in self.coeffs])
-
-    def gcd(self, other: "Poly") -> "Poly":
-        a, b = self, other
-        while not b.is_zero:
-            a, b = b, a % b
-        return a.monic() if not a.is_zero else a
-
     def eval(self, x) -> Fraction:
         x = _frac(x)
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def derivative(self) -> "Poly":
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def integer_cleared(self) -> tuple["Poly", Fraction]:
         """(primitive integer polynomial with positive lead, content)."""
@@ -145,41 +129,6 @@ class Poly:
         sign = -1 if ints[-1] < 0 else 1
         prim = Poly([c / (sign * num) for c in ints])
         return prim, Fraction(sign * num, den)
-
-    def rational_roots(self) -> dict[Fraction, int]:
-        """All rational roots with multiplicities."""
-        if self.is_zero:
-            raise InputError("zero polynomial has every root")
-        roots: dict[Fraction, int] = {}
-        p = self
-        # factor out s^k
-        k = 0
-        while p.coeffs and p.coeffs[0] == 0:
-            p = Poly(p.coeffs[1:])
-            k += 1
-        if k:
-            roots[Fraction(0)] = k
-        while p.degree >= 1:
-            prim, _ = p.integer_cleared()
-            a0 = abs(prim.coeffs[0].numerator)
-            an = abs(prim.lead.numerator)
-            found = None
-            for num in _divisors(a0):
-                for den in _divisors(an):
-                    for sgn in (1, -1):
-                        cand = Fraction(sgn * num, den)
-                        if prim.eval(cand) == 0:
-                            found = cand
-                            break
-                    if found is not None:
-                        break
-                if found is not None:
-                    break
-            if found is None:
-                break
-            roots[found] = roots.get(found, 0) + 1
-            p = p // Poly.linear_form(-found, 1)
-        return roots
 
     def render(self, var: str = "s") -> str:
         if self.is_zero:
@@ -205,81 +154,52 @@ class Poly:
         return f"Poly({self.render()})"
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    if n == 0:
-        return [1]
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
-    return sorted(out)
-
-
 class RatFunc:
-    """Reduced fraction of polynomials; denominator kept monic.
+    """Reduced P/Q with monic Q, built from its partial fractions.
 
-    ``num``/``den`` are the canonical state.  ``_poles`` is the
-    factorisation of ``den`` as {root: multiplicity}, or None until first
-    needed.
+    ``den`` is the product of (s - s0)^order over the poles and ``num``
+    vanishes at none of them, so ``num``/``den`` is the canonical state;
+    ``_poles`` maps each pole s0 to its order.
     """
 
     __slots__ = ("num", "den", "_poles")
 
-    def __init__(self, num: Poly, den: Poly):
-        if den.is_zero:
-            raise ZeroDivisionError("rational function with zero denominator")
-        self._poles = None
-        if num.is_zero:
-            self.num, self.den = Poly(), Poly.const(1)
-            return
-        g = num.gcd(den)
-        if g.degree >= 1:
-            num, den = num // g, den // g
-        lead = den.lead
-        self.num = Poly([c / lead for c in num.coeffs])
-        self.den = den.monic()
-
     @classmethod
     def from_partial_fractions(cls, const, parts) -> "RatFunc":
-        """const + sum over s0 of c1/(s - s0) + c2/(s - s0)^2.
+        """const + sum over s0 of c1/(s - s0) + ... + cm/(s - s0)^m.
 
-        ``parts`` maps each s0 to (c1, c2).  Zero parts are dropped; every
-        other part is a pole of order 2 when c2 != 0 and 1 otherwise, so the
-        result is reduced without a gcd.
+        ``const`` is a number or the polynomial part as a ``Poly``;
+        ``parts`` maps each s0 to (c1, ..., cm).  Trailing zero coefficients
+        are trimmed, so every kept s0 is a pole of order m with cm != 0 and
+        the result is reduced without a gcd.
         """
-        parts = {
-            _frac(s0): (_frac(c1), _frac(c2)) for s0, (c1, c2) in parts.items() if c1 or c2
-        }
-        poles = {s0: 2 if c2 else 1 for s0, (_, c2) in parts.items()}
-        den = Poly.const(1)
-        for s0, order in poles.items():
-            for _ in range(order):
-                den = den * Poly.linear_form(-s0, 1)
-        num = den * _frac(const)
-        for s0, (c1, c2) in parts.items():
-            cof = den // Poly.linear_form(-s0, 1)
-            num = num + cof * c1
-            if c2:
-                num = num + cof // Poly.linear_form(-s0, 1) * c2
+        trimmed = {}
+        for s0, cs in parts.items():
+            cs = [_frac(c) for c in cs]
+            while cs and cs[-1] == 0:
+                cs.pop()
+            if cs:
+                trimmed[_frac(s0)] = cs
+        poles = {s0: len(cs) for s0, cs in trimmed.items()}
+        den = _monic_product(poles)
+        num = den * (const if isinstance(const, Poly) else Poly.const(const))
+        for s0, cs in trimmed.items():
+            lin = Poly.linear_form(-s0, 1)
+            cof = den
+            for c in cs:
+                cof = cof // lin
+                num = num + cof * c
         self = cls.__new__(cls)
         self.num, self.den, self._poles = num, den, poles
         return self
 
     @classmethod
     def const(cls, c) -> "RatFunc":
-        return cls(Poly.const(c), Poly.const(1))
+        return cls.from_partial_fractions(c, {})
 
     @classmethod
     def zero(cls) -> "RatFunc":
-        return cls(Poly(), Poly.const(1))
-
-    @classmethod
-    def from_poly(cls, p: Poly) -> "RatFunc":
-        return cls(p, Poly.const(1))
+        return cls.from_partial_fractions(0, {})
 
     @property
     def is_zero(self) -> bool:
@@ -293,42 +213,17 @@ class RatFunc:
     def __hash__(self):
         return hash((self.num, self.den))
 
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RatFunc.const(other)
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RatFunc(-self.num, self.den)
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RatFunc.const(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RatFunc(self.num * other, self.den)
-        return RatFunc(self.num * other.num, self.den * other.den)
+    def __mul__(self, c):
+        """The product with a rational scalar c."""
+        if not isinstance(c, (int, Fraction)):
+            return NotImplemented
+        if c == 0:
+            return RatFunc.zero()
+        out = RatFunc.__new__(RatFunc)
+        out.num, out.den, out._poles = self.num * c, self.den, self._poles
+        return out
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                raise ZeroDivisionError
-            return RatFunc(self.num * (Fraction(1) / _frac(other)), self.den)
-        if other.is_zero:
-            raise ZeroDivisionError
-        return RatFunc(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        return RatFunc.const(other) / self
 
     def eval(self, x) -> Fraction:
         d = self.den.eval(x)
@@ -336,33 +231,21 @@ class RatFunc:
             raise ZeroDivisionError(f"pole at {x}")
         return self.num.eval(x) / d
 
-    def _factorisation(self) -> dict[Fraction, int]:
-        if self._poles is None:
-            roots = self.den.rational_roots()
-            if sum(roots.values()) != self.den.degree:
-                raise ArithmeticError("denominator does not split into rational factors")
-            self._poles = roots
-        return self._poles
-
     def poles(self) -> dict[Fraction, int]:
-        """Poles with orders; the reduced denominator must split over Q."""
-        return dict(self._factorisation())
-
-    def pole_order(self, s0) -> int:
-        return self._factorisation().get(_frac(s0), 0)
+        """Poles with their orders."""
+        return dict(self._poles)
 
     def residue(self, s0) -> Fraction:
         """Residue at a pole of order <= 1 (0 when s0 is not a pole)."""
         s0 = _frac(s0)
-        poles = self._factorisation()
-        order = poles.get(s0, 0)
+        order = self._poles.get(s0, 0)
         if order == 0:
             return Fraction(0)
         if order > 1:
             raise InputError(f"residue at pole of order {order}")
         # the monic denominator over (s - s0), evaluated at s0
         rest = Fraction(1)
-        for s1, mult in poles.items():
+        for s1, mult in self._poles.items():
             if s1 != s0:
                 rest *= (s0 - s1) ** mult
         return self.num.eval(s0) / rest
@@ -372,11 +255,10 @@ class RatFunc:
         if self.is_zero:
             return "0"
         nprim, ncont = self.num.integer_cleared()
-        roots = self._factorisation()
         # monic den = prod (s - root)^mult = extra * prod(primitive factors)
         factors = []
         extra = Fraction(1)
-        for root, mult in sorted(roots.items(), reverse=True):
+        for root, mult in sorted(self._poles.items(), reverse=True):
             lin = Poly([-root, 1])
             prim, cont = lin.integer_cleared()
             factors.append((prim, mult))
@@ -409,3 +291,47 @@ class RatFunc:
 
 def _parenthesize(sstr: str) -> str:
     return sstr if sstr.startswith("(") else f"({sstr})"
+
+
+def _monic_product(roots) -> Poly:
+    """prod (s - a)^m over ``roots`` {a: m}."""
+    out = Poly.const(1)
+    for a, m in roots.items():
+        lin = Poly.linear_form(-a, 1)
+        for _ in range(m):
+            out = out * lin
+    return out
+
+
+def _taylor(p: Poly, a: Fraction, n: int) -> list[Fraction]:
+    """The first n coefficients of p(a + t) in t, by repeated division by s - a."""
+    lin = Poly.linear_form(-a, 1)
+    out = []
+    for _ in range(n):
+        p, rem = p.divmod(lin)
+        out.append(rem.eval(0))
+    return out
+
+
+def partial_fractions(p: Poly, roots) -> tuple[Poly, dict[Fraction, list[Fraction]]]:
+    """Split p / prod (s - a)^m over ``roots`` {a: m} at those known roots.
+
+    Returns the polynomial part and, at each root a, [c1, ..., cm] with ck
+    the coefficient of 1/(s - a)^k: the arguments of
+    ``RatFunc.from_partial_fractions``.  With the denominator written
+    (s - a)^m g(s) and t = s - a, ck is the coefficient of t^(m-k) in
+    p(a + t) / g(a + t); both series come from Taylor shifts and one short
+    power-series division, since g(a) != 0.  p need not be reduced against
+    the denominator: trailing zeros then stand in the coefficient lists.
+    """
+    den = _monic_product(roots)
+    quot, rem = p.divmod(den)
+    parts = {}
+    for a, m in roots.items():
+        top = _taylor(rem, a, m)
+        g = _taylor(den, a, 2 * m)[m:]
+        h: list[Fraction] = []
+        for j in range(m):
+            h.append((top[j] - sum(h[i] * g[j - i] for i in range(j))) / g[0])
+        parts[a] = h[::-1]
+    return quot, parts

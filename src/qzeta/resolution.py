@@ -267,10 +267,6 @@ class ResolutionGraph:
                 acc -= Fraction(bj - 1, p.order)
         return acc / b
 
-    @property
-    def is_smooth_model(self) -> bool:
-        return all(p.order == 1 for p in self.points)
-
 
 def exceptional_connected(graph: ResolutionGraph) -> bool:
     exc = {c.id for c in graph.exceptional}

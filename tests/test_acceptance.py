@@ -8,11 +8,12 @@ backs ``qzeta verify``.
 
 from fractions import Fraction
 
+from ratfunc_oracle import ratfunc
+
 from qzeta import (
     DownDivisor,
     Poly,
     QuotientSetup,
-    RatFunc,
     classify_poles,
     hodge_residue,
     pathological_zeta,
@@ -36,14 +37,14 @@ def _batch(family, count):
 
 
 def test_criterion_1_first_example_zetas(graph_x4y6, pair_x4y6):
-    assert ztop(graph_x4y6) == RatFunc(lin(7, 3), Poly.const(4) * lin(1, 1) * lin(7, 6))
-    assert ztop(pair_x4y6.graph_down) == RatFunc(Poly.const(1), Poly.const(2) * lin(1, 1))
+    assert ztop(graph_x4y6) == ratfunc(lin(7, 3), Poly.const(4) * lin(1, 1) * lin(7, 6))
+    assert ztop(pair_x4y6.graph_down) == ratfunc(Poly.const(1), Poly.const(2) * lin(1, 1))
     print("PASS criterion 1: Ztop fixtures (3s+7)/(4(s+1)(6s+7)) and 1/(2(s+1)) exact")
 
 
 def test_criterion_2_second_example_zetas(graph_x4y10, pair_x4y10):
-    assert ztop(graph_x4y10) == RatFunc(Poly.const(1), Poly.const(6) * lin(1, 1))
-    assert ztop(pair_x4y10.graph_down) == RatFunc(
+    assert ztop(graph_x4y10) == ratfunc(Poly.const(1), Poly.const(6) * lin(1, 1))
+    assert ztop(pair_x4y10.graph_down) == ratfunc(
         lin(32, 29), Poly.const(12) * lin(1, 1) * lin(8, 5)
     )
     print("PASS criterion 2: Ztop fixtures 1/(6(s+1)) and (29s+32)/(12(s+1)(5s+8)) exact")
@@ -56,15 +57,15 @@ def test_criterion_3_swapped_branch_closed_forms():
             for nu in (Fraction(1), Fraction(2), Fraction(3, 2)):
                 down, up, _ = pathological_zeta(setup, N, nu)
                 form = lin(nu, N)
-                assert down == RatFunc(
+                assert down == ratfunc(
                     Poly.const(Fraction(d, 4)) * lin(3 * nu + 1, 3 * N), form * form
                 )
-                assert up == RatFunc(Poly.const(1), form * form)
+                assert up == ratfunc(Poly.const(1), form * form)
     d4 = QuotientSetup(4, 1, 3)
     for N in (1, 2, 3):
         down, up, _ = pathological_zeta(d4, N, 1)
-        assert down == RatFunc(lin(4, 3 * N), lin(1, N) * lin(1, N))
-        assert up == RatFunc(Poly.const(1), lin(1, N) * lin(1, N))
+        assert down == ratfunc(lin(4, 3 * N), lin(1, N) * lin(1, N))
+        assert up == ratfunc(Poly.const(1), lin(1, N) * lin(1, N))
     print("PASS criterion 3: swapped-branch closed forms exact for d in {4..12}, N in {1,2,3}")
 
 

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from ratfunc_oracle import ratfunc
 
 from qzeta import (
     PLANE,
@@ -17,7 +18,7 @@ from qzeta import (
     ztop,
 )
 from qzeta.errors import NonSmallAction
-from qzeta.hodge import HodgeExpr, _term
+from qzeta.hodge import ONE, UV, HodgeExpr, _term
 
 
 def test_s_factor_trivial_and_count():
@@ -59,7 +60,7 @@ def test_euler_of_simple_quotient_term():
 def test_hodge_single_line_blowup():
     g = weighted_blowup(PLANE, DivisorSpec(pq=(1, 1), axis_x=(1, 0)))
     z = euler_specialize(hodge_zeta(g))
-    assert z == RatFunc(Poly.const(1), Poly.linear_form(1, 1))
+    assert z == ratfunc(Poly.const(1), Poly.linear_form(1, 1))
 
 
 def test_hodge_euler_matches_ztop(graph_x4y6, graph_x4y10, pair_x4y6, pair_x4y10):
@@ -177,3 +178,145 @@ def test_intersection_points_count_per_point():
     pair_terms = [t for t in expr.terms if len(t.den) == 2]
     assert len(pair_terms) == 2
     assert euler_specialize(expr) == ztop(cycle)
+
+
+def test_euler_zero_form_factor_raises():
+    from qzeta.errors import ZeroDenominatorForm
+
+    expr = HodgeExpr((_term({UV: Fraction(1), ONE: Fraction(-1)}, ((Fraction(0), Fraction(0)),)),))
+    with pytest.raises(ZeroDenominatorForm):
+        euler_specialize(expr)
+
+
+UV_2S_MINUS_1 = {(Fraction(0), Fraction(2), 0): Fraction(1), ONE: Fraction(-1)}  # ~ 2s eps
+
+
+def _cleared(M, factors, S):
+    """M * prod_{i in S} (f_i - 1) / prod_i (f_i - 1) with f_i = (uv)^(nu_i + N_i s),
+    written out as one term per subset T of S, each over every factor."""
+    terms = []
+    for mask in range(1 << len(S)):
+        T = [S[i] for i in range(len(S)) if mask >> i & 1]
+        sign = (-1) ** (len(S) - len(T))
+        dA = sum(factors[i][1] for i in T)
+        dB = sum(factors[i][0] for i in T)
+        num = {(A + dA, B + dB, g): sign * c for (A, B, g), c in M.items()}
+        terms.append(_term(num, [(Fraction(N), Fraction(nu)) for N, nu in factors]))
+    return HodgeExpr(tuple(terms))
+
+
+def _doubled(expr):
+    """expr with its first term rewritten over a doubled first factor f:
+    1/(f - 1) = (f + 1)/(f^2 - 1).  The value stays; the terms no longer
+    share one denominator, so their unit series differ."""
+    (head, *rest) = expr.terms
+    (N, nu), *others = head.den
+    num = {}
+    for (A, B, g), c in head.num:
+        for key in ((A, B, g), (A + nu, B + N, g)):
+            num[key] = num.get(key, 0) + c
+    return HodgeExpr((_term(num, [(2 * N, 2 * nu), *others]), *rest))
+
+
+def _cancelling_cases():
+    """(expr, expected) with negative Laurent orders that cancel only across terms.
+
+    Every term's numerator vanishes to an order v below its k factors, so
+    euler_specialize runs its R_j recurrence to j = k - v >= 1; each case
+    comes once over a shared denominator and once with a doubled factor.
+    """
+    six = {(Fraction(1, 2), Fraction(1), 1): Fraction(3)}  # 3 (uv)^(1/2+s) (u+v) -> 6
+    cases = [
+        # M/(f2 - 1) -> 2s/(3s + 2): j up to 1
+        (_cleared(UV_2S_MINUS_1, [(1, 1), (3, 2)], [0]),
+         RatFunc.from_partial_fractions(Fraction(2, 3), {Fraction(-2, 3): (Fraction(-4, 9),)})),
+        # M/(f3 - 1) -> 2s/(s + 4), two roots shared by f1 and f2: j up to 2
+        (_cleared(UV_2S_MINUS_1, [(2, 2), (1, 1), (1, 4)], [0, 1]),
+         RatFunc.from_partial_fractions(2, {-4: (-8,)})),
+        # the regular M = 6 at uv = 1, with an N = 0 factor: j up to 2
+        (_cleared(six, [(5, 3), (0, 2)], [0, 1]), RatFunc.const(6)),
+        (_cleared(six, [(5, 3), (2, 7), (1, 0)], [0, 1, 2]), RatFunc.const(6)),
+    ]
+    return cases + [(_doubled(expr), expected) for expr, expected in cases]
+
+
+def test_euler_negative_orders_cancel_across_terms():
+    from qzeta.errors import IndeterminateLimit
+
+    for expr, expected in _cancelling_cases():
+        assert euler_specialize(expr) == expected
+        # one term alone keeps its pole in eps
+        with pytest.raises(IndeterminateLimit):
+            euler_specialize(HodgeExpr(expr.terms[1:]))
+
+
+def _sympy_laurent(expr, sympy):
+    """{order: coefficient in Q(s)} of expr under uv = 1 + eps, u + v = 2,
+    each term by sympy's power-series inversion over Q(s)."""
+    from sympy.polys.ring_series import rs_mul, rs_series_inversion
+
+    QQ = sympy.QQ
+    F, s = sympy.field("s", QQ)
+    R, eps = sympy.ring("epsilon", F)
+    P = F.ring  # Q[s], where the binomial coefficients live
+
+    def rat(x):
+        return QQ(x.numerator, x.denominator)
+
+    def binomials(A, B, n):
+        """binomial(A + B s, i) for i < n: (1 + eps)^(A + B s) to order n."""
+        a = rat(A) + rat(B) * P.gens[0]
+        out = [P.one]
+        for j in range(1, n):
+            out.append(out[-1] * (a - (j - 1)) * QQ(1, j))
+        return out
+
+    def series(coeffs):
+        return sum((F(c) * eps**i for i, c in enumerate(coeffs)), R.zero)
+
+    orders = {}
+    for t in expr.terms:
+        n = len(t.den) + 1
+        num = [P.zero] * n
+        for (A, B, g), c in t.num:
+            for i, b in enumerate(binomials(A, B, n)):
+                num[i] += rat(c) * 2**g * b
+        # (uv)^a - 1 = eps * (a + binomial(a, 2) eps + ...)
+        unit = R.one
+        for N, nu in t.den:
+            unit = rs_mul(unit, series(binomials(nu, N, n + 1)[1:]), eps, n)
+        q = rs_mul(series(num), rs_series_inversion(unit, eps, n), eps, n)
+        for i in range(n):
+            orders[i - n + 1] = orders.get(i - n + 1, F.zero) + q.coeff(eps**i)
+    return orders, F, s
+
+
+def test_euler_specialize_agrees_with_sympy_series():
+    sympy = pytest.importorskip("sympy")
+    import random
+
+    from qzeta.errors import IndeterminateLimit, OrderTwo, ZeroAlpha
+    from qzeta.verify import _random_graphs
+
+    exprs = [e for e, _ in _cancelling_cases()]
+    exprs += [HodgeExpr(e.terms[1:]) for e in exprs]
+    for g in _random_graphs(random.Random(11)):
+        exprs += [hodge_zeta(g), hodge_zeta(insert_hj_chains(g))]
+        for s0 in sorted(g.candidate_poles()):
+            try:
+                top_residue(g, s0)
+            except (OrderTwo, ZeroAlpha):
+                continue
+            exprs.append(hodge_residue(g, s0))
+    for expr in exprs:
+        orders, F, s = _sympy_laurent(expr, sympy)
+        if any(c for o, c in orders.items() if o < 0):
+            with pytest.raises(IndeterminateLimit):
+                euler_specialize(expr)
+            continue
+        z = euler_specialize(expr)
+        num, den = (
+            sum((sympy.QQ(c.numerator, c.denominator) * s**i for i, c in enumerate(p.coeffs)), F.zero)
+            for p in (z.num, z.den)
+        )
+        assert num / den == orders.get(0, F.zero)

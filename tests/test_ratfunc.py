@@ -3,9 +3,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from ratfunc_oracle import fraction_sum, poly_gcd, ratfunc, rational_roots
 
 from qzeta import Poly, RatFunc
 from qzeta.errors import InputError
+from qzeta.ratfunc import partial_fractions
 
 
 def lin(nu, N):
@@ -18,50 +20,53 @@ def test_poly_arithmetic():
     q, r = p.divmod(lin(1, 1))
     assert r.is_zero and q == lin(7, 6)
     assert p.eval(Fraction(-1)) == 0
-    assert p.derivative() == Poly([13, 12])
 
 
 def test_poly_gcd_and_roots():
+    # the oracle's own gcd and trial-division roots
     p = lin(1, 1) * lin(1, 1) * lin(7, 6)
-    g = p.gcd(lin(1, 1) * lin(8, 5))
-    assert g == lin(1, 1).monic()
-    roots = p.rational_roots()
+    g = poly_gcd(p, lin(1, 1) * lin(8, 5))
+    assert g == lin(1, 1)
+    roots = rational_roots(p)
     assert roots == {Fraction(-1): 2, Fraction(-7, 6): 1}
+    assert rational_roots(lin(0, 1) * lin(0, 1) * lin(3, 2)) == {0: 2, Fraction(-3, 2): 1}
 
 
 def test_ratfunc_reduction_and_equality():
-    z = RatFunc(lin(3, 0) * lin(1, 1), lin(1, 1) * lin(2, 1) * lin(1, 1))
-    w = RatFunc(Poly.const(3), lin(2, 1) * lin(1, 1))
+    z = ratfunc(lin(3, 0) * lin(1, 1), lin(1, 1) * lin(2, 1) * lin(1, 1))
+    w = ratfunc(Poly.const(3), lin(2, 1) * lin(1, 1))
     assert z == w
-    assert (z - w).is_zero
-    assert z + RatFunc.zero() == z
+    assert z == RatFunc.from_partial_fractions(0, {-1: (3,), -2: (-3,)})
+    assert RatFunc.const(Fraction(6, 4)) == Fraction(3, 2)
+    assert RatFunc.zero() == 0 and RatFunc.zero().is_zero
+    assert z * 2 == 2 * z == RatFunc.from_partial_fractions(0, {-1: (6,), -2: (-6,)})
+    assert (z * 0).is_zero and (z * 0).poles() == {}
 
 
 def test_ratfunc_poles_and_residue():
-    z = RatFunc(lin(7, 3), lin(1, 1) * lin(7, 6) * Poly.const(4))
+    z = ratfunc(lin(7, 3), lin(1, 1) * lin(7, 6) * Poly.const(4))
     assert z.poles() == {Fraction(-1): 1, Fraction(-7, 6): 1}
-    assert z.pole_order(Fraction(-1)) == 1
     assert z.residue(Fraction(-7, 6)) == Fraction(-7, 8)
     assert z.residue(Fraction(-2)) == 0
     with pytest.raises(InputError):
-        (RatFunc(Poly.const(1), lin(1, 1) * lin(1, 1))).residue(-1)
+        (ratfunc(Poly.const(1), lin(1, 1) * lin(1, 1))).residue(-1)
 
 
 def test_render_canonical_fixtures():
-    z1 = RatFunc(lin(7, 3), Poly.const(4) * lin(1, 1) * lin(7, 6))
+    z1 = ratfunc(lin(7, 3), Poly.const(4) * lin(1, 1) * lin(7, 6))
     assert z1.render() == "(3s+7)/(4(s+1)(6s+7))"
-    z2 = RatFunc(Poly.const(1), Poly.const(6) * lin(1, 1))
+    z2 = ratfunc(Poly.const(1), Poly.const(6) * lin(1, 1))
     assert z2.render() == "1/(6(s+1))"
-    z3 = RatFunc(lin(32, 29), Poly.const(12) * lin(1, 1) * lin(8, 5))
+    z3 = ratfunc(lin(32, 29), Poly.const(12) * lin(1, 1) * lin(8, 5))
     assert z3.render() == "(29s+32)/(12(s+1)(5s+8))"
-    sq = RatFunc(lin(4, 6), lin(1, 2) * lin(1, 2))
+    sq = ratfunc(lin(4, 6), lin(1, 2) * lin(1, 2))
     assert sq.render() == "2(3s+2)/(2s+1)^2"
 
 
 def test_render_constant_and_zero():
     assert RatFunc.const(Fraction(3, 2)).render() == "3/2"
     assert RatFunc.zero().render() == "0"
-    assert RatFunc(Poly.const(4), lin(1, 1) * lin(1, 1)).render() == "4/(s+1)^2"
+    assert ratfunc(Poly.const(4), lin(1, 1) * lin(1, 1)).render() == "4/(s+1)^2"
 
 
 def test_from_partial_fractions_fixture():
@@ -69,18 +74,23 @@ def test_from_partial_fractions_fixture():
     z = RatFunc.from_partial_fractions(
         Fraction(1, 2), {-1: (3, -2), Fraction(-7, 6): (1, 0), 5: (0, 0)}
     )
-    expected = (
-        RatFunc(Poly.const(3), lin(1, 1))
-        + RatFunc(Poly.const(-2), lin(1, 1) * lin(1, 1))
-        + RatFunc(Poly.const(6), lin(7, 6))
-        + RatFunc.const(Fraction(1, 2))
-    )
+    expected = ratfunc(*fraction_sum([
+        (Poly.const(3), lin(1, 1)),
+        (Poly.const(-2), lin(1, 1) * lin(1, 1)),
+        (Poly.const(6), lin(7, 6)),
+        (Poly.const(Fraction(1, 2)), Poly.const(1)),
+    ]))
     assert z == expected
     assert z.poles() == {Fraction(-1): 2, Fraction(-7, 6): 1}
     assert z.residue(Fraction(-7, 6)) == 1
     assert z.render() == expected.render()
     assert RatFunc.from_partial_fractions(0, {1: (0, 0)}) == RatFunc.zero()
     assert RatFunc.from_partial_fractions(Fraction(3, 2), {}).render() == "3/2"
+    # a polynomial part and a pole of order 3: s - 1 + 5/s^3
+    cube = RatFunc.from_partial_fractions(Poly([-1, 1]), {0: (0, 0, 5, 0)})
+    assert cube == ratfunc(Poly([5, 0, 0, -1, 1]), Poly([0, 0, 0, 1]))
+    assert cube.poles() == {0: 3}
+    assert cube.render() == "(s^4-s^3+5)/(s)^3"
 
 
 small = st.fractions(min_value=-6, max_value=6, max_denominator=6)
@@ -88,20 +98,49 @@ small = st.fractions(min_value=-6, max_value=6, max_denominator=6)
 
 @settings(max_examples=150, deadline=None)
 @given(
-    const=small,
-    parts=st.dictionaries(small, st.tuples(small, small), max_size=5),
+    const=st.lists(small, max_size=3),
+    parts=st.dictionaries(small, st.lists(small, max_size=3), max_size=4),
     s=small,
 )
 def test_from_partial_fractions_round_trip(const, parts, s):
-    z = RatFunc.from_partial_fractions(const, parts)
+    z = RatFunc.from_partial_fractions(Poly(const), parts)
     # the gcd route is the oracle for the reduced P/Q and its roots
-    general = RatFunc.const(const)
-    for s0, (c1, c2) in parts.items():
+    fracs = [(Poly(const), Poly.const(1))]
+    for s0, cs in parts.items():
         x = Poly.linear_form(-s0, 1)
-        general = general + RatFunc(Poly.const(c1), x) + RatFunc(Poly.const(c2), x * x)
+        for k, c in enumerate(cs, 1):
+            fracs.append((Poly.const(c), _power(x, k)))
+    general = ratfunc(*fraction_sum(fracs))
     assert z == general
     assert z.poles() == general.poles()
+    # splitting P/Q again at the known roots gives back the trimmed parts
+    poly, split = partial_fractions(z.num, z.poles())
+    assert poly == Poly(const)
+    trimmed = {s0: cs for s0, cs in parts.items() if any(cs)}
+    assert split == {s0: cs[: len(split[s0])] for s0, cs in trimmed.items()}
     if s in parts:
         return
-    direct = const + sum(c1 / (s - s0) + c2 / (s - s0) ** 2 for s0, (c1, c2) in parts.items())
+    direct = Poly(const).eval(s) + sum(
+        c / (s - s0) ** k for s0, cs in parts.items() for k, c in enumerate(cs, 1)
+    )
     assert z.eval(s) == direct
+
+
+def _power(p, k):
+    out = Poly.const(1)
+    for _ in range(k):
+        out = out * p
+    return out
+
+
+def test_partial_fractions_of_an_unreduced_quotient():
+    # (s+1)(s-2)/((s+1)^2 (s-2)^2) = 1/((s+1)(s-2)); the unreduced split
+    # carries trailing zeros that from_partial_fractions trims
+    poly, parts = partial_fractions(lin(1, 1) * lin(-2, 1), {-1: 2, 2: 2})
+    assert poly.is_zero
+    assert parts == {-1: [Fraction(-1, 3), 0], 2: [Fraction(1, 3), 0]}
+    z = RatFunc.from_partial_fractions(poly, parts)
+    assert z == ratfunc(Poly.const(1), lin(1, 1) * lin(-2, 1))
+    # a polynomial part from the division: s^3 / (s - 1) = s^2 + s + 1 + 1/(s - 1)
+    poly, parts = partial_fractions(Poly([0, 0, 0, 1]), {1: 1})
+    assert poly == Poly([1, 1, 1]) and parts == {1: [1]}

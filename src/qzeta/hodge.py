@@ -2,10 +2,12 @@
 
 Expressions live in the fraction field generated by monomials
 (uv)^(A + B*s) * (u+v)^g over Q, with denominators that are products of
-factors (uv)^(nu + N*s) - 1.  Rational exponents share the common
-denominator r fixed at construction (the lcm of all point orders and data
-denominators of the source graph).  Equality is exact: clear denominators
-over the union multiset of factors and compare monomial dictionaries.
+factors (uv)^(nu + N*s) - 1.  Equality is exact: the zero test scales
+exponents and coefficients to integers, sums the terms one at a time into
+a numerator P over a multiset Q of factors, and divides P by each factor
+M - 1 in Q whenever the division is exact (its coefficients sum to zero on
+every coset of M's exponent vector); the expression is zero exactly when
+the final P is.
 
 The Euler specialization substitutes uv = 1 + eps, u + v = 2 and extracts
 the constant term of the resulting Laurent series in eps; each denominator
@@ -17,6 +19,7 @@ fractions.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -124,91 +127,87 @@ def s_factor(m: int, a: int, b: int, Nvec, nuvec) -> SFactor:
 class HodgeExpr:
     """A formal sum of terms num / prod((uv)^(nu_j + N_j s) - 1)."""
 
-    __slots__ = ("terms", "r")
+    __slots__ = ("terms",)
 
-    def __init__(self, terms: tuple[HodgeTerm, ...], r: int = 1):
+    def __init__(self, terms: tuple[HodgeTerm, ...]):
         self.terms = terms
-        self.r = r
 
     @classmethod
-    def zero(cls, r: int = 1) -> "HodgeExpr":
-        return cls((), r)
+    def zero(cls) -> "HodgeExpr":
+        return cls(())
 
     def __add__(self, other: "HodgeExpr") -> "HodgeExpr":
-        return HodgeExpr(self.terms + other.terms, lcm(self.r, other.r))
+        return HodgeExpr(self.terms + other.terms)
 
     def scale(self, c) -> "HodgeExpr":
         c = Fraction(c)
         if c == 0:
-            return HodgeExpr.zero(self.r)
+            return HodgeExpr.zero()
         out = []
         for t in self.terms:
             d = t.num_dict()
             out.append(_term({k: v * c for k, v in d.items()}, t.den))
-        return HodgeExpr(tuple(out), self.r)
+        return HodgeExpr(tuple(out))
 
     def __sub__(self, other: "HodgeExpr") -> "HodgeExpr":
         return self + other.scale(-1)
 
-    def cleared_numerator(self) -> MonoDict:
-        """Numerator over the union denominator (per-factor max multiplicity).
-
-        Exponents are scaled to a common integer denominator first so the
-        dictionary arithmetic runs on integer keys.
-        """
-        from collections import Counter
-
-        common: Counter = Counter()
-        per_term = []
-        for t in self.terms:
-            cnt = Counter(t.den)
-            per_term.append(cnt)
-            for f, k in cnt.items():
-                common[f] = max(common[f], k)
-        scale = 1
-        for t in self.terms:
-            for (A, B, _g), _c in t.num:
-                scale = lcm(scale, A.denominator, B.denominator)
-        for N, nu in common:
-            scale = lcm(scale, N.denominator, nu.denominator)
-
-        def key(A, B, g):
-            return (int(A * scale), int(B * scale), g)
-
-        total: dict = {}
-        for t, cnt in zip(self.terms, per_term):
-            part = {key(A, B, g): c for (A, B, g), c in t.num}
-            for f, k in common.items():
-                missing = k - cnt.get(f, 0)
-                if not missing:
-                    continue
-                fk = key(f[1], f[0], 0)
-                for _ in range(missing):
-                    out: dict = {}
-                    for (i, j, g), c in part.items():
-                        k1 = (i + fk[0], j + fk[1], g)
-                        v = out.get(k1)
-                        out[k1] = c if v is None else v + c
-                        k2 = (i, j, g)
-                        v = out.get(k2)
-                        out[k2] = -c if v is None else v - c
-                    part = out
-            for kk, c in part.items():
-                v = total.get(kk)
-                v = c if v is None else v + c
-                if v:
-                    total[kk] = v
-                else:
-                    total.pop(kk, None)
-        return {
-            (Fraction(i, scale), Fraction(j, scale), g): c
-            for (i, j, g), c in total.items()
-            if c
-        }
-
     @property
     def is_zero(self) -> bool:
-        return not self.cleared_numerator()
+        """Exact zero test by progressive summation.
+
+        Terms sharing a denominator are merged; then, taking next the term
+        that adds the fewest new factors, a running numerator P over a
+        running multiset Q of factors absorbs each term, and P is divided
+        by each factor in Q as often as the division is exact.  The sum of
+        the terms taken so far is always P / prod_Q(M_f - 1), so the
+        expression is zero exactly when the final P is.
+        """
+        r, scale = _integer_scales(self.terms)
+
+        def times(x, m: int) -> int:
+            return x.numerator * (m // x.denominator)
+
+        groups: dict[tuple, IntPoly] = {}
+        for t in self.terms:
+            den = []
+            for N, nu in t.den:
+                if not N and not nu:
+                    raise ZeroDenominatorForm("Hodge term with a factor (uv)^0 - 1")
+                den.append((times(nu, r), times(N, r)))
+            num = groups.setdefault(tuple(sorted(den)), {})
+            for (A, B, g), c in t.num:
+                key = (times(A, r), times(B, r), g)
+                num[key] = num.get(key, 0) + times(c, scale)
+        pending = [(Counter(den), num) for den, num in groups.items()]
+        p: IntPoly = {}
+        q: Counter = Counter()
+
+        def new_factors(item) -> int:
+            return sum(k - q[f] for f, k in item[0].items() if k > q[f])
+
+        while pending:
+            item = min(pending, key=new_factors)
+            pending.remove(item)
+            den, num = item
+            for f, k in (den - q).items():
+                for _ in range(k):
+                    p = _times_factor(p, f)
+            for f, k in (q - den).items():
+                for _ in range(k):
+                    num = _times_factor(num, f)
+            q |= den
+            for key, c in num.items():
+                v = p.get(key, 0) + c
+                if v:
+                    p[key] = v
+                else:
+                    p.pop(key, None)
+            for f in q:
+                while q[f] and (quotient := _divide(p, f)) is not None:
+                    p = quotient
+                    q[f] -= 1
+        return not p
 
     def __eq__(self, other):
         if not isinstance(other, HodgeExpr):
@@ -216,7 +215,68 @@ class HodgeExpr:
         return (self - other).is_zero
 
     def __repr__(self):
-        return f"HodgeExpr({len(self.terms)} terms, r={self.r})"
+        return f"HodgeExpr({len(self.terms)} terms)"
+
+
+# ---------------------------------------------------------------------------
+# Exact zero test over integer keys: (x, y, g) stands for
+# (uv)^((x + y*s)/r) * (u+v)^g, and a factor M - 1 for its exponent vector
+# v = (r*nu, r*N) of M.
+
+IntPoly = dict[tuple[int, int, int], int]
+
+
+def _integer_scales(terms: tuple[HodgeTerm, ...]) -> tuple[int, int]:
+    """(r, c): the lcm of every exponent denominator and of every
+    coefficient denominator occurring in the terms."""
+    r = c = 1
+    for t in terms:
+        for (A, B, _g), v in t.num:
+            r = lcm(r, A.denominator, B.denominator)
+            c = lcm(c, v.denominator)
+        for N, nu in t.den:
+            r = lcm(r, N.denominator, nu.denominator)
+    return r, c
+
+
+def _times_factor(p: IntPoly, v: tuple[int, int]) -> IntPoly:
+    """p * (M - 1), M of exponent vector v."""
+    a, b = v
+    out: IntPoly = {}
+    for (x, y, g), c in p.items():
+        key = (x + a, y + b, g)
+        out[key] = out.get(key, 0) + c
+        key = (x, y, g)
+        out[key] = out.get(key, 0) - c
+    return {key: c for key, c in out.items() if c}
+
+
+def _divide(p: IntPoly, v: tuple[int, int]) -> IntPoly | None:
+    """p / (M - 1) if the division is exact, else None.
+
+    On each coset w0 + Zv, p is w0 times a Laurent polynomial sum c_k t^k
+    in t = M.  M - 1 divides it exactly when the c_k sum to zero, and the
+    quotient's coefficient of t^k is then -(c_kmin + ... + c_k).  A point
+    w = (x, y) lies at k = floor(x/a) (floor(y/b) when a = 0) on the coset
+    keyed by w0 = w - k*v.
+    """
+    a, b = v
+    cosets: dict[tuple[int, int, int], list[tuple[int, int]]] = {}
+    for (x, y, g), c in p.items():
+        k = x // a if a else y // b
+        cosets.setdefault((x - a * k, y - b * k, g), []).append((k, c))
+    if any(sum(c for _, c in cs) for cs in cosets.values()):
+        return None
+    out: IntPoly = {}
+    for (x0, y0, g), cs in cosets.items():
+        cs.sort()
+        acc = 0
+        for (k, c), (k_next, _) in zip(cs, cs[1:]):
+            acc -= c
+            if acc:
+                for j in range(k, k_next):
+                    out[(x0 + a * j, y0 + b * j, g)] = acc
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -349,17 +409,6 @@ def euler_specialize(expr: HodgeExpr) -> RatFunc:
 # zeta and residues
 
 
-def _exponent_denominator(terms: tuple[HodgeTerm, ...]) -> int:
-    """lcm of every exponent denominator occurring in the expression."""
-    r = 1
-    for t in terms:
-        for (A, B, _g), _c in t.num:
-            r = lcm(r, A.denominator, B.denominator)
-        for N, nu in t.den:
-            r = lcm(r, N.denominator, nu.denominator)
-    return r
-
-
 def hodge_zeta(graph: ResolutionGraph) -> HodgeExpr:
     """Hodge zeta function of the pair carried by the graph.
 
@@ -386,7 +435,7 @@ def hodge_zeta(graph: ResolutionGraph) -> HodgeExpr:
         sf = s_factor(lt.m, lt.a, lt.b, (d1.N, d2.N), (d1.nu, d2.nu))
         num = _dict_mul(_dict_mul(sf.num_dict(), UV_MINUS_1), UV_MINUS_1)
         terms.append(_term(num, ((d1.N, d1.nu), (d2.N, d2.nu))))
-    return HodgeExpr(tuple(terms), _exponent_denominator(tuple(terms)))
+    return HodgeExpr(tuple(terms))
 
 
 def hodge_residue(graph: ResolutionGraph, s0) -> HodgeExpr:
@@ -427,4 +476,4 @@ def hodge_residue(graph: ResolutionGraph, s0) -> HodgeExpr:
                 prefix: -inv_n,
             }
             terms.append(_term(num, ((Fraction(0), a),)))
-    return HodgeExpr(tuple(terms), _exponent_denominator(tuple(terms)))
+    return HodgeExpr(tuple(terms))

@@ -18,7 +18,7 @@ from qzeta import (
     ztop,
 )
 from qzeta.errors import NonSmallAction
-from qzeta.hodge import ONE, UV, HodgeExpr, _term
+from qzeta.hodge import ONE, UV, HodgeExpr, _divide, _integer_scales, _term
 
 
 def test_s_factor_trivial_and_count():
@@ -146,15 +146,20 @@ def test_euler_indeterminate_limit():
 
 
 def test_hodge_common_denominator_invariant(pair_x4y10):
+    # the zero test runs on integer keys: r clears every exponent, c every coefficient
     for g in (pair_x4y10.graph_down, insert_hj_chains(pair_x4y10.graph_down)):
         expr = hodge_zeta(g)
+        r, c = _integer_scales(expr.terms)
+        assert r > 1 and c == 1
         for t in expr.terms:
-            for (A, B, _gg), _c in t.num:
-                assert (A * expr.r).denominator == 1
-                assert (B * expr.r).denominator == 1
+            for (A, B, _gg), coeff in t.num:
+                assert (A * r).denominator == (B * r).denominator == 1
+                assert (coeff * c).denominator == 1
             for N, nu in t.den:
-                assert (N * expr.r).denominator == 1
-                assert (nu * expr.r).denominator == 1
+                assert (N * r).denominator == (nu * r).denominator == 1
+    assert _integer_scales(HodgeExpr.zero().terms) == (1, 1)
+    half = HodgeExpr((_term({(Fraction(1, 2), Fraction(1, 3), 0): Fraction(5, 4)}, ((Fraction(2, 5), Fraction(1)),)),))
+    assert _integer_scales(half.terms) == (30, 4)
 
 
 def test_intersection_points_count_per_point():
@@ -320,3 +325,136 @@ def test_euler_specialize_agrees_with_sympy_series():
             for p in (z.num, z.den)
         )
         assert num / den == orders.get(0, F.zero)
+
+
+def test_equality_with_zero_form_factor_raises():
+    from qzeta.errors import ZeroDenominatorForm
+
+    z, f = (Fraction(0), Fraction(0)), (Fraction(0), Fraction(1))
+    h1 = HodgeExpr((_term({UV: Fraction(1)}, (f,)), _term({UV: Fraction(1)}, (z,))))
+    h2 = HodgeExpr((_term({UV: Fraction(2)}, (f,)), _term({UV: Fraction(1)}, (z,))))
+    for check in (lambda: h1 == h2, lambda: h1.is_zero, lambda: euler_specialize(h1)):
+        with pytest.raises(ZeroDenominatorForm):
+            check()
+
+
+def _mono(A=0, B=0, g=0):
+    return (Fraction(A), Fraction(B), g)
+
+
+def _expr(*terms):
+    """HodgeExpr from (num, den) pairs: num maps (A, B, g) to a coefficient,
+    den lists (N, nu)."""
+    return HodgeExpr(
+        tuple(
+            _term(
+                {_mono(*k): Fraction(c) for k, c in num.items()},
+                [(Fraction(N), Fraction(nu)) for N, nu in den],
+            )
+            for num, den in terms
+        )
+    )
+
+
+def _division_cases():
+    """(expr, is zero) pairs that each need one kind of exact division."""
+    M = (1, 1)  # (A, B) of (uv)^(1 + s), as the factor (N, nu) = (1, 1)
+    Minv = (-1, -1)
+    wide = {(50, 0): 1, (0, 0): -1}  # ((uv)^50 - 1) / (uv - 1), dense
+    geometric = {(j, 0): -1 for j in range(50)}
+    short = {(j, 0): -1 for j in range(49)}
+    return [
+        # non-primitive exponent vector: (uv)^2 - 1 = (uv - 1)(uv + 1)
+        (_expr(({(1, 0): 1, (0, 0): 1}, [(0, 2)]), ({(0, 0): -1}, [(0, 1)])), True),
+        (_expr(({(1, 0): 1, (0, 0): -1}, [(0, 2)]), ({(0, 0): -1}, [(0, 1)])), False),
+        (_expr(({(1, 0): 1}, [(0, 2)]), ({(0, 0): -1}, [(0, 2)]), ({(0, 0): 1}, [(0, 1)])), False),
+        # negative nu and N: 1/(M - 1) + M^-1/(M^-1 - 1) = 0 with M = (uv)^(s - 2)
+        (_expr(({(0, 0): 1}, [(1, -2)]), ({(2, -1): 1}, [(-1, 2)])), True),
+        (_expr(({(0, 0): 1}, [(1, -2)]), ({(0, 0): 1}, [(-1, 2)])), False),
+        # N = 0 factors, one with a fractional exponent
+        (_expr(({(2, 0): 1, (1, 0): 1, (0, 0): 1}, [(0, 3)]), ({(0, 0): -1}, [(0, 1)])), True),
+        (_expr(({(Fraction(1, 2), 0): 1, (0, 0): 1}, [(0, 1)]), ({(0, 0): -1}, [(0, Fraction(1, 2))])), True),
+        (_expr(({(2, 0): 1, (0, 0): 1}, [(0, 3)]), ({(0, 0): -1}, [(0, 1)])), False),
+        # squared factor: M/(M - 1)^2 = 1/(M - 1) + 1/(M - 1)^2
+        (_expr(({M: 1}, [(1, 1), (1, 1)]), ({(0, 0): -1}, [(1, 1)]), ({(0, 0): -1}, [(1, 1), (1, 1)])), True),
+        (_expr(({M: 1}, [(1, 1), (1, 1)]), ({(0, 0): -1}, [(1, 1)])), False),
+        (_expr(({M: 1, Minv: 1}, [(1, 1), (1, 1)]), ({(0, 0): -1}, [(1, 1)]), ({Minv: -1}, [(1, 1), (1, 1)])), False),
+        # (u+v)^g: (u+v)(M + 1)/(M^2 - 1) = (u+v)/(M - 1); g keeps its own cosets
+        (_expr(({(1, 1, 1): 1, (0, 0, 1): 1}, [(2, 2)]), ({(0, 0, 1): -1}, [(1, 1)])), True),
+        (_expr(({(1, 1, 1): 1, (0, 0, 0): 1}, [(2, 2)]), ({(0, 0, 1): -1}, [(1, 1)])), False),
+        (_expr(({(1, 1, 1): 1, (0, 0, 0): -1}, [(1, 1)])), False),
+        # a quotient across a wide gap expands to 50 monomials
+        (_expr((wide, [(0, 1)]), (geometric, [])), True),
+        (_expr((wide, [(0, 1)]), (short, [])), False),
+    ]
+
+
+def test_is_zero_exact_division_cases():
+    import hodge_oracle
+
+    for expr, zero in _division_cases():
+        assert expr.is_zero is zero
+        assert hodge_oracle.is_zero(expr) is zero
+    # the coset rule directly: (uv)^2 - 1 divides no odd multiple of uv - 1,
+    # a (u+v) power is its own coset, and (uv)^50 - 1 over uv - 1 is dense
+    assert _divide({(1, 0, 0): 1, (0, 0, 0): -1}, (2, 0)) is None
+    assert _divide({(2, 0, 0): 1, (0, 0, 0): -1}, (1, 0)) == {(1, 0, 0): 1, (0, 0, 0): 1}
+    assert _divide({(1, 1, 1): 1, (0, 0, 0): -1}, (1, 1)) is None
+    assert _divide({(0, 3, 0): 1, (5, 0, 0): -1}, (0, 3)) is None
+    assert _divide({(0, 3, 0): 1, (0, 0, 0): -1}, (0, -3)) == {(0, 3, 0): -1}
+    assert _divide({(50, 0, 0): 1, (0, 0, 0): -1}, (1, 0)) == {(j, 0, 0): 1 for j in range(50)}
+    assert _divide({(-7, 2, 0): 3, (-1, 0, 0): -3}, (-3, 1)) == {(-4, 1, 0): 3, (-1, 0, 0): 3}
+
+
+def _perturbed(h):
+    """Three nonzero changes of h: drop its last term, multiply one monomial
+    by uv, add 1 to one coefficient.  Each differs from h by one nonzero term."""
+    *rest, last = h.terms
+    (A, B, g), c = last.num[0]
+    shifted = dict(last.num[1:])
+    shifted[(A + 1, B, g)] = shifted.get((A + 1, B, g), 0) + c
+    bumped = dict(last.num)
+    bumped[(A, B, g)] = c + 1
+    return [
+        HodgeExpr(tuple(rest)),
+        HodgeExpr((*rest, _term(shifted, last.den))),
+        HodgeExpr((*rest, _term(bumped, last.den))),
+    ]
+
+
+def test_is_zero_agrees_with_clearing_oracle():
+    import random
+
+    import hodge_oracle
+    from qzeta.verify import _random_graphs
+
+    checked = 0
+    for seed in range(12):
+        for g in _random_graphs(random.Random(seed)):
+            h, h_smooth = hodge_zeta(g), hodge_zeta(insert_hj_chains(g))
+            if len({f for t in (h - h_smooth).terms for f in t.den}) > 7:
+                continue
+            assert h == h_smooth and hodge_oracle.is_zero(h - h_smooth)
+            for other in _perturbed(h_smooth):
+                assert h != other and not hodge_oracle.is_zero(h - other)
+            checked += 1
+    assert checked >= 15
+
+
+def test_largest_hodge_euler_draw_is_fast():
+    # index 27 of hodge-euler at seed 20260810: 38 distinct factors, whose
+    # union denominator took 85 s to clear
+    import random
+    import time
+
+    from qzeta.verify import _hodge_graph
+
+    rng = random.Random(20260810)
+    for _ in range(28):
+        g = _hodge_graph(rng)
+    smooth = insert_hj_chains(g)
+    assert len({(c.data.N, c.data.nu) for c in smooth.components}) == 38
+    h, h_smooth = hodge_zeta(g), hodge_zeta(smooth)
+    start = time.perf_counter()
+    assert h == h_smooth
+    assert time.perf_counter() - start < 2.0

@@ -13,7 +13,7 @@ Everything is integer arithmetic; no floating point appears anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .errors import InputError
 
@@ -115,7 +115,11 @@ class ActionSpec:
 
 
 def enumerate_action(spec: ActionSpec) -> set[tuple[int, int]]:
-    """All group elements as exponent pairs in (Z/M)^2 (brute-force closure)."""
+    """All group elements as exponent pairs in (Z/M)^2 (brute-force closure).
+
+    An independent route for checks only; :func:`smallify_action` does not
+    enumerate the group.
+    """
     big = spec.modulus
     elems = {(0, 0)}
     frontier = [(0, 0)]
@@ -133,25 +137,18 @@ def enumerate_action(spec: ActionSpec) -> set[tuple[int, int]]:
 def smith_invariants_2xk(rows: list[list[int]]) -> tuple[int, int]:
     """Invariant factors (s1, s2), s1 | s2, of the column lattice of a 2xk matrix.
 
-    Classical Smith reduction over Z; the lattice is assumed to have full
+    Read off the determinantal divisors: s1 is the gcd of the entries and
+    s1*s2 the gcd of the 2x2 minors.  The lattice is assumed to have full
     rank 2 (always true here because it contains M*Z^2).
     """
-    a = [list(rows[0]), list(rows[1])]
-
-    def columns():
-        return len(a[0])
-
-    # s1 = gcd of all entries; s1*s2 = gcd of all 2x2 minors.
-    entries = [v for row in a for v in row]
+    top, bottom = rows
     s1 = 0
-    for v in entries:
+    for v in top + bottom:
         s1 = gcd(s1, v)
     minor_gcd = 0
-    k = columns()
-    for i in range(k):
-        for j in range(i + 1, k):
-            minor = a[0][i] * a[1][j] - a[0][j] * a[1][i]
-            minor_gcd = gcd(minor_gcd, minor)
+    for i in range(len(top)):
+        for j in range(i + 1, len(top)):
+            minor_gcd = gcd(minor_gcd, top[i] * bottom[j] - top[j] * bottom[i])
     if s1 == 0 or minor_gcd == 0:
         raise InputError("lattice does not have full rank")
     return s1, minor_gcd // s1
@@ -172,14 +169,14 @@ def abelian_invariants(spec: ActionSpec) -> tuple[int, ...]:
     return inv if inv else (1,)
 
 
-def _cyclic_generator(elems: set[tuple[int, int]], big: int) -> tuple[int, int]:
-    order = len(elems)
-    for x, y in sorted(elems):
-        ox = big // gcd(x, big) if x else 1
-        oy = big // gcd(y, big) if y else 1
-        if lcm(ox, oy) == order:
-            return x, y
-    raise InputError("quotient group is not cyclic")
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, u, v) with g = gcd(a, b) = u*a + v*b."""
+    u0, v0, u1, v1 = 1, 0, 0, 1
+    while b:
+        k, r = divmod(a, b)
+        a, b = b, r
+        u0, v0, u1, v1 = u1, v1, u0 - k * u1, v0 - k * v1
+    return a, u0, v0
 
 
 def smallify_action(spec: ActionSpec) -> CyclicType:
@@ -189,28 +186,28 @@ def smallify_action(spec: ActionSpec) -> CyclicType:
     (trivially on x) are absorbed by the substitutions x -> x^e1, y -> y^e2;
     the residual group is small and cyclic, and e1, e2 are recorded.  The
     invariant |G| = e1 * e2 * m holds for the returned type.
+
+    Closed form from the Smith normal form, with no enumeration of G: |G|
+    is the product of the invariants; e1 = |G| gcd(M, y-exponents)/M and
+    e2 = |G| g_x/M with g_x = gcd(M, x-exponents) count the reflections; the
+    residual group, of order m = |G|/(e1 e2), injects into its x-exponents
+    and is generated by the image (M/m, e2 y) of the element (g_x, y) of G
+    that one extended-gcd pass over the generators finds.
     """
     big = spec.modulus
-    elems = enumerate_action(spec)
-    e1 = sum(1 for _, y in elems if y == 0)
-    e2 = sum(1 for x, _ in elems if x == 0)
-    if e1 > 1 or e2 > 1:
-        elems = {((x * e1) % big, (y * e2) % big) for x, y in elems}
-    # a single absorption suffices: the image contains no further reflections
-    assert sum(1 for _, y in elems if y == 0) == 1
-    assert sum(1 for x, _ in elems if x == 0) == 1
-    d = len(elems)
-    if d == 1:
+    order = prod(abelian_invariants(spec))
+    g_x, y = big, 0  # (M, 0) = (0, 0) is in G
+    g_y = big
+    for vx, vy in spec.exponent_vectors():
+        g_x, u, v = _xgcd(g_x, vx)
+        y = (u * y + v * vy) % big
+        g_y = gcd(g_y, vy)
+    e1 = order * g_y // big
+    e2 = order * g_x // big
+    m = order // (e1 * e2)
+    if m == 1:
         return CyclicType(1, 0, 0, e1=e1, e2=e2)
-    inv = abelian_invariants(spec)
-    # cross-check smallness/cyclicity through the enumeration
-    x, y = _cyclic_generator(elems, big)
-    a = x * d // big
-    b = y * d // big
-    small = CyclicType(d, a % d, b % d, e1=e1, e2=e2)
-    if not small.is_small:
-        raise InputError(f"residual action {small} is not small; got invariants {inv}")
-    return small
+    return CyclicType(m, 1, (e2 * y * m // big) % m, e1=e1, e2=e2)
 
 
 def normalize_type(m: int, a: int, b: int) -> CyclicType:

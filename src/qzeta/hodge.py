@@ -27,12 +27,11 @@ from math import gcd, lcm
 from .errors import (
     IndeterminateLimit,
     NonSmallAction,
-    OrderTwo,
-    ZeroAlpha,
     ZeroDenominatorForm,
 )
 from .ratfunc import Poly, RatFunc, partial_fractions
 from .resolution import ResolutionGraph
+from .zeta import residue_alphas
 
 # monomial key: (A, B, g) for (uv)^(A + B*s) * (u+v)^g
 Monomial = tuple[Fraction, Fraction, int]
@@ -443,22 +442,14 @@ def hodge_residue(graph: ResolutionGraph, s0) -> HodgeExpr:
 
     The common unit prefactor (1 - uv) of the motivic residue is omitted so
     that the Euler specialization of this expression equals the topological
-    residue; vanishing is unaffected.
+    residue; vanishing is unaffected.  Raises :class:`OrderTwo` and
+    :class:`ZeroAlpha` exactly where :func:`top_residue` does.
     """
-    from .zeta import _has_intersecting_pair, realizing_components
-
     s0 = Fraction(s0)
-    realizing = realizing_components(graph, s0)
-    ids = {c.id for c in realizing}
-    if _has_intersecting_pair(graph, ids):
-        raise OrderTwo(f"two intersecting components realize s0 = {s0}")
+    prefix = (-s0, Fraction(0), 0)  # (uv)^(-s0)
     terms = []
-    for comp in realizing:
-        alphas = graph.alpha_values(comp.id)
-        if any(a == 0 for a in alphas.values()):
-            raise ZeroAlpha(f"vanishing alpha-value on {comp.id!r}")
+    for comp, alphas in residue_alphas(graph, s0):
         inv_n = Fraction(1) / comp.data.N
-        prefix = (-s0, Fraction(0), 0)  # (uv)^(-s0)
         if comp.is_exceptional:
             # (1/N) (uv)^(-s0) (uv - g(u+v) + (1-k))
             k = len(alphas)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import InputError
-from .quotient import DownDivisor, QuotientSetup
+from .quotient import DownDivisor, QuotientSetup, split_down_spec
 from .resolution import BranchEntry, CClass, DivisorSpec, ResolutionGraph
 from .serialize import INSTANCE_SCHEMA, check_keys, frac_from_str, graph_from_json
 
@@ -98,19 +98,5 @@ def load_instance(path: str | Path) -> Instance:
     branches = _parse_branches(div.get("branches"), f"{path}: divisor")
     spec = DivisorSpec(pq=pq, axis_x=axis_x, axis_y=axis_y, branches=branches)
 
-    down_pair = None
-    if setup is not None:
-        dbar = DownDivisor(
-            pq=pq,
-            axis_x=axis_x[0],
-            axis_y=axis_y[0],
-            branches=tuple((b.label, b.N) for b in branches),
-        )
-        wbar = DownDivisor(
-            pq=pq,
-            axis_x=axis_x[1],
-            axis_y=axis_y[1],
-            branches=tuple((b.label, b.w) for b in branches),
-        )
-        down_pair = (dbar, wbar)
+    down_pair = split_down_spec(spec) if setup is not None else None
     return Instance(str(path), setup, mode, spec, down_pair, None)

@@ -321,21 +321,22 @@ def build_quotient(
     return _assemble(setup, spec_up, analysis, dbar, wbar)
 
 
+def split_down_spec(spec_down: DivisorSpec) -> tuple[DownDivisor, DownDivisor]:
+    """(Dbar, Wbar) of a combined downstairs table (N and w together)."""
+    return tuple(
+        DownDivisor(
+            pq=spec_down.pq,
+            axis_x=spec_down.axis_x[k],
+            axis_y=spec_down.axis_y[k],
+            branches=tuple((b.label, (b.N, b.w)[k]) for b in spec_down.branches),
+        )
+        for k in (0, 1)
+    )
+
+
 def build_quotient_from_spec(setup: QuotientSetup, spec_down: DivisorSpec) -> QuotientPair:
     """Pipeline entry taking a combined downstairs table (N and w together)."""
-    dbar = DownDivisor(
-        pq=spec_down.pq,
-        axis_x=spec_down.axis_x[0],
-        axis_y=spec_down.axis_y[0],
-        branches=tuple((b.label, b.N) for b in spec_down.branches),
-    )
-    wbar = DownDivisor(
-        pq=spec_down.pq,
-        axis_x=spec_down.axis_x[1],
-        axis_y=spec_down.axis_y[1],
-        branches=tuple((b.label, b.w) for b in spec_down.branches),
-    )
-    return build_quotient(setup, dbar, wbar)
+    return build_quotient(setup, *split_down_spec(spec_down))
 
 
 def _assemble(
@@ -414,11 +415,10 @@ def _assemble(
     chart_row("V", type_v_up, type_v_down, "Lx" if up_has_x else None, e1 if up_has_x else 1, False)
 
     for orbit in analysis.orbits:
-        m_bar_num = d * 1
-        m_bar_den = orbit.size * e_exc * 1
-        if m_bar_num % m_bar_den:
+        m_bar_den = orbit.size * e_exc
+        if d % m_bar_den:
             raise InputError("non-integral downstairs order at a branch orbit")
-        m_bar = m_bar_num // m_bar_den
+        m_bar = d // m_bar_den
         assert m_bar == 1  # branch orbits are free on the exceptional curve
         pid = f"pt_{orbit.family}"
         points_down.append(
@@ -453,16 +453,16 @@ def _with_forced_axes(
         comps.append(
             Component("Lx", "branch_curve", NumericalData(0, 1), label="{x=0}")
         )
-        points = _attach_axis(graph_up, points, "Lx", at_u=False)
+        points = _attach_axis(points, "Lx", at_u=False)
     if e2 > 1 and "Ly" not in have:
         comps.append(
             Component("Ly", "branch_curve", NumericalData(0, 1), label="{y=0}")
         )
-        points = _attach_axis(graph_up, points, "Ly", at_u=True)
+        points = _attach_axis(points, "Ly", at_u=True)
     return ResolutionGraph(graph_up.ambient, tuple(comps), tuple(points))
 
 
-def _attach_axis(graph_up, points, axis_id, at_u):
+def _attach_axis(points, axis_id, at_u):
     tag = "U" if at_u else "V"
     for i, pt in enumerate(points):
         if pt.id == tag:

@@ -166,10 +166,15 @@ class ResolutionGraph:
                 if cid not in index:
                     raise InputError(f"point {p.id!r} references unknown component {cid!r}")
                 incidence[cid].append(p)
+        poles: dict[Fraction, list[Component]] = {}
+        for c in self.components:
+            if c.data.N != 0:
+                poles.setdefault(-c.data.ratio, []).append(c)
         object.__setattr__(self, "_index", index)
         object.__setattr__(
             self, "_incidence", {cid: tuple(ps) for cid, ps in incidence.items()}
         )
+        object.__setattr__(self, "_poles", {s0: tuple(cs) for s0, cs in poles.items()})
 
     def component(self, cid: str) -> Component:
         return self._index[cid]
@@ -232,9 +237,11 @@ class ResolutionGraph:
         return 2 - 2 * comp.genus - len(self.points_on(cid))
 
     def candidate_poles(self) -> set[Fraction]:
-        return {
-            -c.data.ratio for c in self.components if c.data.N != 0
-        }
+        return set(self._poles)
+
+    def realizing(self, s0) -> tuple[Component, ...]:
+        """Components with nu + N s0 = 0 and N != 0, in component order."""
+        return self._poles.get(s0, ())
 
     def self_intersection(self, cid: str) -> Fraction:
         """Self-intersection from intersection theory.

@@ -23,7 +23,7 @@ from .cyclic import (
     smallify_action,
 )
 from .engraph import en_analyze, en_graph
-from .errors import AdjunctionViolation, OrderTwo, PathologicalCase, ZeroAlpha
+from .errors import AdjunctionViolation, InputError, OrderTwo, PathologicalCase, ZeroAlpha
 from .hodge import euler_specialize, hodge_zeta, s_factor
 from .quotient import (
     DownDivisor,
@@ -385,6 +385,8 @@ def _check_sfactor_instance(rng: random.Random) -> list[str]:
 
 
 def run_family(family: str, seed: int, count: int) -> BatchResult:
+    if count < 0:
+        raise InputError(f"count must be >= 0, got {count}")
     result = BatchResult(family=family, seed=seed, count=count)
     rng = random.Random(seed)
     if family == "delta":
@@ -400,8 +402,6 @@ def run_family(family: str, seed: int, count: int) -> BatchResult:
         return result
     check = _SIMPLE_FAMILIES.get(family)
     if check is None:
-        from .errors import InputError
-
         raise InputError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
     for i in range(count):
         result.record(i, check(rng))

@@ -86,19 +86,32 @@ def ztop_nc_quotient(group_order: int, d1: NumericalData, d2: NumericalData) -> 
     return zeta_from_terms([(group_order, (d1, d2))])
 
 
-def realizing_components(graph: ResolutionGraph, s0: Fraction):
-    return [
-        c
-        for c in graph.components
-        if c.data.N != 0 and c.data.nu + c.data.N * s0 == 0
-    ]
+def _intersecting_pair(graph: ResolutionGraph, realizing) -> bool:
+    """Whether two of the ``realizing`` components meet at a marked point."""
+    ids = {c.id for c in realizing}
+    return any(
+        len(p.incident) == 2 and set(p.incident) <= ids
+        for c in realizing
+        for p in graph.points_on(c.id)
+    )
 
 
-def _has_intersecting_pair(graph: ResolutionGraph, realizing_ids: set[str]) -> bool:
-    for p in graph.points:
-        if len(p.incident) == 2 and set(p.incident) <= realizing_ids:
-            return True
-    return False
+def residue_alphas(graph: ResolutionGraph, s0: Fraction):
+    """The components realizing s0, each with its alpha-values, for a residue.
+
+    Raises :class:`OrderTwo` when two realizing components intersect and
+    :class:`ZeroAlpha` when an alpha-value at a realizing component vanishes.
+    """
+    realizing = graph.realizing(s0)
+    if _intersecting_pair(graph, realizing):
+        raise OrderTwo(f"two intersecting components realize s0 = {s0}")
+    out = []
+    for comp in realizing:
+        alphas = graph.alpha_values(comp.id)
+        if any(a == 0 for a in alphas.values()):
+            raise ZeroAlpha(f"vanishing alpha-value on {comp.id!r} at s0 = {s0}")
+        out.append((comp, alphas))
+    return out
 
 
 def top_residue(graph: ResolutionGraph, s0) -> Fraction:
@@ -109,20 +122,12 @@ def top_residue(graph: ResolutionGraph, s0) -> Fraction:
     defined when no two realizing components intersect (order two) and no
     alpha-value at a realizing component vanishes.
     """
-    s0 = Fraction(s0)
-    realizing = realizing_components(graph, s0)
-    ids = {c.id for c in realizing}
-    if _has_intersecting_pair(graph, ids):
-        raise OrderTwo(f"two intersecting components realize s0 = {s0}")
     total = Fraction(0)
-    for comp in realizing:
-        alphas = graph.alpha_values(comp.id)
-        if any(a == 0 for a in alphas.values()):
-            raise ZeroAlpha(f"vanishing alpha-value on {comp.id!r} at s0 = {s0}")
+    for comp, alphas in residue_alphas(graph, Fraction(s0)):
+        inverse_sum = sum(Fraction(1) / a for a in alphas.values())
         if comp.is_exceptional:
-            total += Fraction(graph.euler_open(comp.id) + sum(Fraction(1) / a for a in alphas.values()), 1) / comp.data.N
-        else:
-            total += sum(Fraction(1) / a for a in alphas.values()) / comp.data.N
+            inverse_sum += graph.euler_open(comp.id)
+        total += inverse_sum / comp.data.N
     return total
 
 
@@ -153,17 +158,16 @@ def check_alpha_condition(graph: ResolutionGraph) -> tuple[bool, list[str]]:
     return (not violations, violations)
 
 
-def _exceptional_cycle_ids(graph: ResolutionGraph, ids: set[str]) -> bool:
+def _exceptional_cycle(graph: ResolutionGraph, realizing) -> bool:
     """Whether the realizing rational exceptional curves contain a cycle."""
-    verts = {
-        c.id
-        for c in graph.exceptional
-        if c.id in ids and c.genus == 0
-    }
-    edges = []
-    for p in graph.points:
-        if len(p.incident) == 2 and set(p.incident) <= verts:
-            edges.append(tuple(p.incident))
+    verts = {c.id for c in realizing if c.is_exceptional and c.genus == 0}
+    # each edge is read once, at its point's first incident component
+    edges = [
+        p.incident
+        for v in verts
+        for p in graph.points_on(v)
+        if len(p.incident) == 2 and p.incident[0] == v and p.incident[1] in verts
+    ]
     # union-find over multigraph; any edge joining already-connected vertices closes a cycle
     parent = {v: v for v in verts}
 
@@ -222,10 +226,9 @@ def classify_poles(graph: ResolutionGraph) -> PoleReport:
     rupture = set(rupture_components(graph))
     entries = []
     for s0 in sorted(graph.candidate_poles(), reverse=True):
-        realizing = realizing_components(graph, s0)
-        ids = {c.id for c in realizing}
+        realizing = graph.realizing(s0)
         witnesses: list[tuple[str, str]] = []
-        if _has_intersecting_pair(graph, ids):
+        if _intersecting_pair(graph, realizing):
             mot = 2
             witnesses = [(c.id, "intersecting-pair") for c in realizing]
         else:
@@ -237,8 +240,8 @@ def classify_poles(graph: ResolutionGraph) -> PoleReport:
                     witnesses.append((comp.id, "non-rational"))
                 elif comp.id in rupture:
                     witnesses.append((comp.id, "rupture"))
-            if _exceptional_cycle_ids(graph, ids):
-                witnesses.append((sorted(ids)[0], "cycle"))
+            if _exceptional_cycle(graph, realizing):
+                witnesses.append((min(c.id for c in realizing), "cycle"))
             if witnesses:
                 mot = 1
         residue = None

@@ -154,6 +154,16 @@ def test_verify_command(tmp_path, capsys):
     assert main(["verify", "--family", "nope", "--seed", "3", "--count", "1"]) == 2
 
 
+def test_verify_negative_count_is_an_input_error(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    argv = ["verify", "--family", "delta", "--seed", "3", "--count", "-3", "--out", str(out_dir)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "count must be >= 0" in captured.err
+    assert "passed" not in captured.out
+    assert not out_dir.exists()
+
+
 def test_verify_deterministic(capsys):
     assert main(["verify", "--family", "smallify", "--seed", "11", "--count", "25"]) == 0
     first = capsys.readouterr().out

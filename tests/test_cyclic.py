@@ -2,12 +2,23 @@ import random
 from math import gcd
 
 import pytest
+from cyclic_oracle import smallify_by_enumeration
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qzeta import ActionSpec, HJChain, delta, hj_expand, normalize_type, smallify_action
+from qzeta import (
+    ActionSpec,
+    CyclicType,
+    HJChain,
+    delta,
+    hj_expand,
+    normalize_type,
+    smallify_action,
+)
 from qzeta.cyclic import abelian_invariants, enumerate_action
 from qzeta.errors import InputError
+from qzeta.randgen import random_action_spec
+from qzeta.resolution import chart_actions
 
 
 def test_normalize_trivial_group():
@@ -72,6 +83,41 @@ def test_smallify_two_generator_oracle():
     check_smallify_against_invariants(ActionSpec(((3, 2, 2), (6, 1, 1))))
     check_smallify_against_invariants(ActionSpec(((2, 1, 1), (4, 3, 1))))
     check_smallify_against_invariants(ActionSpec(((2, 1, 0), (2, 0, 1))))
+
+
+def _smallified(t):
+    return (t.m, t.a, t.b, t.e1, t.e2, t.axis_swap)
+
+
+def test_smallify_closed_form_matches_enumeration_on_chart_actions():
+    # both chart groups of the (p,q)-blow-up of every X(d;a,b), d <= 10, over
+    # all 23 coprime weights p, q <= 6
+    pqs = [(p, q) for p in range(1, 7) for q in range(1, 7) if gcd(p, q) == 1]
+    assert len(pqs) == 23
+    for d in range(1, 11):
+        for a in range(d):
+            for b in range(d):
+                if gcd(gcd(d, a), b) != 1:
+                    continue
+                for p, q in pqs:
+                    for action in chart_actions(CyclicType(d, a, b), p, q):
+                        expected = _smallified(smallify_by_enumeration(action))
+                        assert _smallified(smallify_action(action)) == expected, (d, a, b, p, q)
+
+
+def test_smallify_closed_form_matches_enumeration_on_random_actions():
+    rng = random.Random(20261019)
+    for _ in range(1000):
+        spec = random_action_spec(rng)
+        assert _smallified(smallify_action(spec)) == _smallified(smallify_by_enumeration(spec)), spec
+    # unreduced and negative weights, order-one generators
+    for _ in range(1000):
+        gens = tuple(
+            (rng.randint(1, 12), rng.randint(-30, 30), rng.randint(-30, 30))
+            for _ in range(rng.randint(1, 3))
+        )
+        spec = ActionSpec(gens)
+        assert _smallified(smallify_action(spec)) == _smallified(smallify_by_enumeration(spec)), spec
 
 
 def test_smallify_rejects_empty():
@@ -182,3 +228,46 @@ def test_normalize_even_reflection_family():
         t = normalize_type(d, 1, d // 2 + 1)
         assert (t.m, t.a, t.b) == (d // 2, 1, (d + 2) // 4)
         assert (t.e1, t.e2) == (2, 1)
+
+
+def test_library_paths_run_no_enumeration(monkeypatch):
+    # the brute-force closure is an oracle only: no library path may call it
+    import qzeta.cyclic
+    from qzeta import (
+        PLANE,
+        DivisorSpec,
+        DownDivisor,
+        QuotientSetup,
+        build_quotient,
+        classify_poles,
+        hodge_residue,
+        minus_branch_divisor,
+        top_residue,
+        verify_theorem,
+        weighted_blowup,
+    )
+    from qzeta.errors import OrderTwo, ZeroAlpha
+
+    def refuse(spec):
+        raise AssertionError(f"enumerate_action called on {spec}")
+
+    monkeypatch.setattr(qzeta.cyclic, "enumerate_action", refuse)
+    assert (normalize_type(6, 1, 3).m, normalize_type(12, 3, 10).m) == (2, 2)
+    spec = DivisorSpec(pq=(3, 2), axis_x=(1, 0), axis_y=(0, 2))
+    graphs = [weighted_blowup(PLANE, spec), weighted_blowup(CyclicType(6, 1, 3), spec)]
+    setup = QuotientSetup(6, 1, 3)
+    dbar = DownDivisor(pq=(3, 2), axis_x=1)
+    for wbar, b_applies in ((DownDivisor(pq=(3, 2), axis_y=2), False),
+                            (minus_branch_divisor(setup, (3, 2)), True)):
+        pair = build_quotient(setup, dbar, wbar)
+        graphs += [pair.graph_up, pair.graph_down]
+        verdicts = [verify_theorem(which, setup, dbar, wbar).verdict for which in "ABC"]
+        assert verdicts == ["holds", "holds" if b_applies else "not-applicable", "holds"]
+    for g in graphs:
+        classify_poles(g)
+        for s0 in g.candidate_poles():
+            try:
+                top_residue(g, s0)
+                hodge_residue(g, s0)
+            except (OrderTwo, ZeroAlpha):
+                pass

@@ -327,6 +327,43 @@ def test_euler_specialize_agrees_with_sympy_series():
         assert num / den == orders.get(0, F.zero)
 
 
+def test_top_and_hodge_residues_raise_alike():
+    import random
+
+    from qzeta import CyclicType
+    from qzeta.errors import OrderTwo, ZeroAlpha
+    from qzeta.resolution import Component, MarkedPoint, NumericalData, ResolutionGraph
+    from qzeta.verify import _random_graphs
+
+    def outcome(residue, g, s0):
+        try:
+            residue(g, s0)
+        except (OrderTwo, ZeroAlpha) as exc:
+            return type(exc)
+        return None
+
+    # a (0,0) strict transform meeting E gives a vanishing alpha-value on E
+    zero_alpha = ResolutionGraph(
+        PLANE,
+        (
+            Component("E", "exceptional", NumericalData(2, 3)),
+            Component("L", "strict_W", NumericalData(0, 0)),
+        ),
+        (MarkedPoint("P", CyclicType(1, 0, 0), ("E", "L")),),
+    )
+    graphs = [zero_alpha]
+    for seed in range(12):
+        for g in _random_graphs(random.Random(seed)):
+            graphs += [g, insert_hj_chains(g)]
+    seen = set()
+    for g in graphs:
+        for s0 in sorted(g.candidate_poles()):
+            kind = outcome(top_residue, g, s0)
+            assert outcome(hodge_residue, g, s0) is kind, s0
+            seen.add(kind)
+    assert seen == {None, OrderTwo, ZeroAlpha}
+
+
 def test_equality_with_zero_form_factor_raises():
     from qzeta.errors import ZeroDenominatorForm
 

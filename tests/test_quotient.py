@@ -157,6 +157,18 @@ def test_large_d_quotient_is_fast():
     assert t1 - t0 < 2.0 and t2 - t1 < 2.0
 
 
+def test_huge_d_chart_types_in_closed_form():
+    # X(200003;1,3) with (p,q) = (7,5): enumerating the chart groups took
+    # about 15 s; these are the types that enumeration gave
+    setup = QuotientSetup(200003, 1, 3)
+    dbar = DownDivisor(pq=(7, 5), axis_x=Fraction(1), axis_y=Fraction(1))
+    t0 = time.perf_counter()
+    pair = build_quotient(setup, dbar, DownDivisor(pq=(7, 5)))
+    assert time.perf_counter() - t0 < 1.0
+    types = {p.id: str(p.local_type) for p in pair.graph_down.points}
+    assert types == {"U": "X(1400021;1,16)", "V": "X(1000015;1,812512)"}
+
+
 def test_build_quotient_fixture_orders(pair_x4y6, pair_x4y10):
     down = pair_x4y6.graph_down
     assert down.component("E").data.N == 12 and down.component("E").data.nu == 14

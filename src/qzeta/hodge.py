@@ -11,10 +11,14 @@ the final P is.
 
 The Euler specialization substitutes uv = 1 + eps, u + v = 2 and extracts
 the constant term of the resulting Laurent series in eps; each denominator
-factor contributes eps * ((nu + N*s) + O(eps)).  Every Laurent coefficient
-of a term has a power of the term's own forms nu + N*s as denominator, so
-it is split at their roots -nu/N and the result is built from its partial
-fractions.
+factor contributes eps * ((nu + N*s) + O(eps)).  A numerator's series
+comes from one expansion (``_num_series``): integer moments of its scaled
+exponents folded through the falling-factorial coefficients.  Every
+Laurent coefficient of a term has a power of the term's own forms
+nu + N*s as denominator, so it is split at their roots -nu/N and the
+result is built from its partial fractions.  The terms of ``hodge_zeta``
+and ``hodge_residue`` carry (uv - 1)^k over k factors, so only their
+numerator's coefficient of eps^k is ever needed.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 from .errors import (
     IndeterminateLimit,
@@ -37,6 +41,7 @@ from .zeta import residue_alphas
 Monomial = tuple[Fraction, Fraction, int]
 MonoDict = dict[Monomial, Fraction]
 
+ZERO = Fraction(0)
 UV = (Fraction(1), Fraction(0), 0)
 ONE = (Fraction(0), Fraction(0), 0)
 UPLUSV = (Fraction(0), Fraction(0), 1)
@@ -44,31 +49,6 @@ UPLUSV = (Fraction(0), Fraction(0), 1)
 
 def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
     return (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
-
-
-def _dict_add(into: MonoDict, other: MonoDict, scale: Fraction = Fraction(1)) -> None:
-    for key, c in other.items():
-        v = into.get(key, Fraction(0)) + c * scale
-        if v:
-            into[key] = v
-        else:
-            into.pop(key, None)
-
-
-def _dict_mul(a: MonoDict, b: MonoDict) -> MonoDict:
-    out: MonoDict = {}
-    for k1, c1 in a.items():
-        for k2, c2 in b.items():
-            key = _mono_mul(k1, k2)
-            v = out.get(key, Fraction(0)) + c1 * c2
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
-    return out
-
-
-UV_MINUS_1: MonoDict = {UV: Fraction(1), ONE: Fraction(-1)}
 
 
 @dataclass(frozen=True)
@@ -97,12 +77,6 @@ class SFactor:
         """Each term specializes to 1 under the Euler characteristic."""
         return len(self.terms)
 
-    def num_dict(self) -> MonoDict:
-        out: MonoDict = {}
-        for A, B in self.terms:
-            _dict_add(out, {(A, B, 0): Fraction(1)})
-        return out
-
 
 def s_factor(m: int, a: int, b: int, Nvec, nuvec) -> SFactor:
     """S-factor of a point of small type (m;a,b) with local data Nvec, nuvec."""
@@ -116,8 +90,8 @@ def s_factor(m: int, a: int, b: int, Nvec, nuvec) -> SFactor:
         ib = (i * b) % m
         terms.append(
             (
-                Fraction(nu1 * ia + nu2 * ib, m),
-                Fraction(N1 * ia + N2 * ib, m),
+                (nu1 * ia + nu2 * ib) / m,
+                (N1 * ia + N2 * ib) / m,
             )
         )
     return SFactor(m, a % m, b % m, tuple(terms))
@@ -282,52 +256,45 @@ def _divide(p: IntPoly, v: tuple[int, int]) -> IntPoly | None:
 # Euler specialization: uv = 1 + eps, u + v = 2, take the constant term
 
 
-def _binom_polys(A: Fraction, B: Fraction, n: int) -> list[Poly]:
-    """binomial(A + B*s, k) for k = 0..n-1, as polynomials in s."""
-    out = [Poly.const(1)]
-    acc = Poly.const(1)
-    fact = 1
-    for k in range(1, n):
-        acc = acc * Poly.linear_form(A - (k - 1), B)
-        fact *= k
-        out.append(acc * Fraction(1, fact))
-    return out
-
-
 def _num_series(num, n: int) -> list[Poly]:
-    """Series of the numerator under uv = 1 + eps, u + v = 2, up to eps^(n-1).
+    """P_j = sum c 2^g binomial(A + B*s, j) for j < n over the monomials
+    ((A, B, g), c) of num: its series under uv = 1 + eps, u + v = 2.
 
-    For the common case n <= 3 the binomial coefficients are assembled from
-    weighted moments of the exponents, costing O(1) per monomial.
+    With A = a/r, B = b/r and c 2^g = w/q over integers, the integer moments
+    M[i][l] = sum w a^(i-l) b^l make the coefficient of s^l in P_j
+    sum_i f(j, i) binomial(i, l) M[i][l] r^(j-i) / (q r^j j!), where f(j, i)
+    is the coefficient of x^i in the falling factorial x (x-1) ... (x-j+1).
     """
-    if n > 3:
-        out = [Poly() for _ in range(n)]
-        for (A, B, g), c in num:
-            w = Fraction(2) ** g * c
-            for i, bp in enumerate(_binom_polys(A, B, n)):
-                out[i] = out[i] + bp * w
-        return out
-    zero = Fraction(0)
-    m00 = m10 = m01 = m20 = m11 = m02 = zero
+    r = q = 1
+    for (A, B, _g), c in num:
+        r = lcm(r, A.denominator, B.denominator)
+        q = lcm(q, c.denominator)
+    moments = [[0] * (i + 1) for i in range(n)]
     for (A, B, g), c in num:
-        w = c if g == 0 else Fraction(2) ** g * c
-        m00 += w
-        if n >= 2:
-            wa = w * A
-            wb = w * B
-            m10 += wa
-            m01 += wb
-            if n == 3:
-                m20 += wa * A
-                m11 += wa * B
-                m02 += wb * B
-    out = [Poly.const(m00)]
-    if n >= 2:
-        out.append(Poly([m10, m01]))
-    if n == 3:
-        # binom(A+Bs, 2) = ((A+Bs)^2 - (A+Bs))/2
-        half = Fraction(1, 2)
-        out.append(Poly([(m20 - m10) * half, (2 * m11 - m01) * half, m02 * half]))
+        a = A.numerator * (r // A.denominator)
+        b = B.numerator * (r // B.denominator)
+        row = [c.numerator * (q // c.denominator) << g]
+        for i in range(n):
+            for l, x in enumerate(row):
+                moments[i][l] += x
+            row = [x * a for x in row] + [row[-1] * b]
+    out = []
+    falling = [1]
+    fact = 1
+    for j in range(n):
+        den = q * r**j * fact
+        coeffs = []
+        for l in range(j + 1):
+            x = sum(
+                falling[i] * comb(i, l) * moments[i][l] * r ** (j - i)
+                for i in range(l, j + 1)
+            )
+            coeffs.append(Fraction(x, den) if x else ZERO)
+        out.append(Poly(coeffs))
+        falling = [0, *falling]
+        for i in range(j + 1):
+            falling[i] -= j * falling[i + 1]
+        fact *= j + 1
     return out
 
 
@@ -343,6 +310,26 @@ def _poly_series_mul(a: list[Poly], b: list[Poly], n: int) -> list[Poly]:
     return out
 
 
+def _laurent_numerators(num: list[Poly], den, depth: int) -> list[Poly]:
+    """R_0, ..., R_(depth-1) of a term (see :func:`euler_specialize`) from
+    its numerator series num, taken from its first nonzero order on."""
+    # (uv)^(nu + N s) - 1 = eps * sum_(i >= 1) binomial(nu + N s, i) eps^(i-1)
+    unit = [Poly.const(1)] + [Poly()] * (depth - 1)
+    for N, nu in den:
+        factor = _num_series((((nu, N, 0), Fraction(1)),), depth + 1)[1:]
+        unit = _poly_series_mul(unit, factor, depth)
+    u0 = unit[0]
+    u0_pows = [Poly.const(1)]
+    rs: list[Poly] = []
+    for j in range(depth):
+        r = num[j] * u0_pows[j]
+        for i, ri in enumerate(rs):
+            r = r - ri * unit[j - i] * u0_pows[j - 1 - i]
+        rs.append(r)
+        u0_pows.append(u0_pows[j] * u0)
+    return rs
+
+
 def euler_specialize(expr: HodgeExpr) -> RatFunc:
     """Exact limit u, v -> 1 of a Hodge expression, as a rational function in s.
 
@@ -350,10 +337,13 @@ def euler_specialize(expr: HodgeExpr) -> RatFunc:
     the product unit of the factor series, whose constant term is
     u0 = prod(nu + N*s).  With v the first nonzero order of num, its
     coefficient of eps^(v+j-k) is R_j / u0^(j+1), where
-    R_j = num[v+j] u0^j - sum_{l<j} R_l unit[j-l] u0^(j-1-l).  Each is split
-    at the roots -nu/N and summed per Laurent order.  Partial fractions are
-    unique, so a negative order vanishes exactly when all its coefficients
-    do; otherwise :class:`IndeterminateLimit` is raised.
+    R_j = num[v+j] u0^j - sum_{l<j} R_l unit[j-l] u0^(j-1-l), for j <= k - v.
+    Every term :func:`hodge_zeta` and :func:`hodge_residue` build has v = k,
+    since its numerator carries (uv - 1)^k: then R_0 = num[k] is the only
+    one, and neither the factor series nor the powers of u0 are built.  Each
+    R_j is split at the roots -nu/N and summed per Laurent order.  Partial
+    fractions are unique, so a negative order vanishes exactly when all its
+    coefficients do; otherwise :class:`IndeterminateLimit` is raised.
     """
     # Laurent order -> [polynomial part, {root: [c1, c2, ...]}]
     orders: dict[int, list] = {}
@@ -364,7 +354,8 @@ def euler_specialize(expr: HodgeExpr) -> RatFunc:
         for N, nu in t.den:
             if N:
                 scale *= N
-                roots[-nu / N] = roots.get(-nu / N, 0) + 1
+                a = -nu / N
+                roots[a] = roots.get(a, 0) + 1
             elif nu:
                 scale *= nu
             else:
@@ -375,23 +366,14 @@ def euler_specialize(expr: HodgeExpr) -> RatFunc:
             continue
         # orders v - k .. 0 need the factor series only up to eps^(k - v)
         depth = k + 1 - v
-        unit = [Poly.const(1)] + [Poly()] * (depth - 1)
-        for N, nu in t.den:
-            unit = _poly_series_mul(unit, _binom_polys(nu, N, depth + 1)[1:], depth)
-        u0 = unit[0]
-        u0_pows = [Poly.const(1)]
-        rs: list[Poly] = []
-        for j in range(depth):
-            r = num_series[v + j] * u0_pows[j]
-            for i, ri in enumerate(rs):
-                r = r - ri * unit[j - i] * u0_pows[j - 1 - i]
-            rs.append(r)
-            u0_pows.append(u0_pows[j] * u0)
+        rs = num_series[v:] if depth == 1 else _laurent_numerators(num_series[v:], t.den, depth)
+        for j, r in enumerate(rs):
             poly, parts = partial_fractions(
                 r * (1 / scale ** (j + 1)), {a: m * (j + 1) for a, m in roots.items()}
             )
             acc = orders.setdefault(v + j - k, [Poly(), {}])
-            acc[0] = acc[0] + poly
+            if not poly.is_zero:
+                acc[0] = acc[0] + poly
             for a, cs in parts.items():
                 have = acc[1].setdefault(a, [])
                 have.extend([Fraction(0)] * (len(cs) - len(have)))
@@ -419,21 +401,33 @@ def hodge_zeta(graph: ResolutionGraph) -> HodgeExpr:
             raise ZeroDenominatorForm(f"component {comp.id!r} has data (0,0)")
     terms = []
     for comp in graph.exceptional:
+        # (uv - g(u+v) + (1 - k)) (uv - 1)
+        #   = uv^2 - k uv + (k - 1) - g (u+v) uv + g (u+v)
         k = len(graph.points_on(comp.id))
         g = comp.genus
-        h_open: MonoDict = {UV: Fraction(1)}
-        if g:
-            h_open[UPLUSV] = Fraction(-g)
-        if 1 - k:
-            h_open[ONE] = Fraction(1 - k)
-        num = _dict_mul(h_open, UV_MINUS_1)
-        terms.append(_term(num, ((comp.data.N, comp.data.nu),)))
+        num = {
+            (Fraction(2), Fraction(0), 0): 1,
+            UV: -k,
+            ONE: k - 1,
+            (Fraction(1), Fraction(0), 1): -g,
+            UPLUSV: g,
+        }
+        terms.append(_term(
+            {key: Fraction(c) for key, c in num.items() if c}, ((comp.data.N, comp.data.nu),)
+        ))
     for point in graph.points:
         d1, d2 = graph.incident_data(point)
         lt = point.local_type
         sf = s_factor(lt.m, lt.a, lt.b, (d1.N, d2.N), (d1.nu, d2.nu))
-        num = _dict_mul(_dict_mul(sf.num_dict(), UV_MINUS_1), UV_MINUS_1)
-        terms.append(_term(num, ((d1.N, d1.nu), (d2.N, d2.nu))))
+        # S (uv - 1)^2: (uv)^(A+2+Bs) - 2 (uv)^(A+1+Bs) + (uv)^(A+Bs) per exponent
+        num = {}
+        for A, B in sf.terms:
+            for shift, c in ((2, 1), (1, -2), (0, 1)):
+                key = (A + shift, B, 0)
+                num[key] = num.get(key, 0) + c
+        terms.append(_term(
+            {key: Fraction(c) for key, c in num.items() if c}, ((d1.N, d1.nu), (d2.N, d2.nu))
+        ))
     return HodgeExpr(tuple(terms))
 
 

@@ -4,9 +4,10 @@ Every ``RatFunc`` is built from its partial fractions at known roots by
 ``RatFunc.from_partial_fractions``: the poles of a zeta function are roots
 -nu/N of known linear forms nu + N*s.  ``partial_fractions`` splits
 P / prod (s - a)^m at roots already known, by a Taylor shift at each root,
-so neither a polynomial gcd nor root finding is ever needed.  The result
-carries its factorisation, and ``poles``, ``residue`` and ``render`` read
-it off.
+so neither a polynomial gcd nor root finding is ever needed.  Both
+directions work on coefficient lists with Horner division by s - a;
+``Poly`` stays the value type they take and return.  The result carries
+its factorisation, and ``poles``, ``residue`` and ``render`` read it off.
 """
 
 from __future__ import annotations
@@ -182,15 +183,20 @@ class RatFunc:
                 trimmed[_frac(s0)] = cs
         poles = {s0: len(cs) for s0, cs in trimmed.items()}
         den = _monic_product(poles)
-        num = den * (const if isinstance(const, Poly) else Poly.const(const))
+        head = const.coeffs if isinstance(const, Poly) else (_frac(const),)
+        num = [Fraction(0)] * (len(den) + max(len(head), 1) - 1)
+        for i, c in enumerate(head):
+            if c:
+                for j, d in enumerate(den):
+                    num[i + j] += c * d
         for s0, cs in trimmed.items():
-            lin = Poly.linear_form(-s0, 1)
             cof = den
             for c in cs:
-                cof = cof // lin
-                num = num + cof * c
+                cof = _horner(cof, s0)[0]
+                for i, x in enumerate(cof):
+                    num[i] += c * x
         self = cls.__new__(cls)
-        self.num, self.den, self._poles = num, den, poles
+        self.num, self.den, self._poles = Poly(num), Poly(den), poles
         return self
 
     @classmethod
@@ -293,24 +299,28 @@ def _parenthesize(sstr: str) -> str:
     return sstr if sstr.startswith("(") else f"({sstr})"
 
 
-def _monic_product(roots) -> Poly:
-    """prod (s - a)^m over ``roots`` {a: m}."""
-    out = Poly.const(1)
+def _monic_product(roots) -> list[Fraction]:
+    """Ascending coefficients of prod (s - a)^m over ``roots`` {a: m}."""
+    out = [Fraction(1)]
     for a, m in roots.items():
-        lin = Poly.linear_form(-a, 1)
         for _ in range(m):
-            out = out * lin
+            out = _times_linear(out, a)
     return out
 
 
-def _taylor(p: Poly, a: Fraction, n: int) -> list[Fraction]:
-    """The first n coefficients of p(a + t) in t, by repeated division by s - a."""
-    lin = Poly.linear_form(-a, 1)
+def _times_linear(cs: list[Fraction], a: Fraction) -> list[Fraction]:
+    """The coefficients of cs(s) * (s - a)."""
+    return [-a * cs[0], *(cs[i - 1] - a * cs[i] for i in range(1, len(cs))), cs[-1]]
+
+
+def _horner(cs, a: Fraction) -> tuple[list[Fraction], Fraction]:
+    """(quotient coefficients, remainder) of cs(s) by s - a."""
     out = []
-    for _ in range(n):
-        p, rem = p.divmod(lin)
-        out.append(rem.eval(0))
-    return out
+    acc = Fraction(0)
+    for c in reversed(cs):
+        out.append(acc)
+        acc = acc * a + c
+    return out[:0:-1], acc
 
 
 def partial_fractions(p: Poly, roots) -> tuple[Poly, dict[Fraction, list[Fraction]]]:
@@ -320,16 +330,33 @@ def partial_fractions(p: Poly, roots) -> tuple[Poly, dict[Fraction, list[Fractio
     the coefficient of 1/(s - a)^k: the arguments of
     ``RatFunc.from_partial_fractions``.  With the denominator written
     (s - a)^m g(s) and t = s - a, ck is the coefficient of t^(m-k) in
-    p(a + t) / g(a + t); both series come from Taylor shifts and one short
-    power-series division, since g(a) != 0.  p need not be reduced against
-    the denominator: trailing zeros then stand in the coefficient lists.
+    p(a + t) / g(a + t): p(a + t) comes from m Horner divisions by s - a,
+    g(a + t) = prod_{b != a} (t + a - b)^(m_b) is multiplied out to order m,
+    and one short power-series division follows, since g(a) != 0.  A
+    polynomial division runs only to take off a polynomial part.  p need
+    not be reduced against the denominator: trailing zeros then stand in
+    the coefficient lists.
     """
-    den = _monic_product(roots)
-    quot, rem = p.divmod(den)
+    total = sum(roots.values())
+    if len(p.coeffs) <= total:
+        quot = Poly()
+    elif total:
+        quot = p.divmod(Poly(_monic_product(roots)))[0]
+    else:
+        quot = p
     parts = {}
     for a, m in roots.items():
-        top = _taylor(rem, a, m)
-        g = _taylor(den, a, 2 * m)[m:]
+        top = []
+        q = p.coeffs
+        for _ in range(m):
+            q, rem = _horner(q, a)
+            top.append(rem)
+        g = [Fraction(1)]
+        for b, mb in roots.items():
+            if b != a:
+                for _ in range(mb):
+                    g = _times_linear(g, b - a)[:m]
+        g += [Fraction(0)] * (m - len(g))
         h: list[Fraction] = []
         for j in range(m):
             h.append((top[j] - sum(h[i] * g[j - i] for i in range(j))) / g[0])

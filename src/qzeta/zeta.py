@@ -158,33 +158,6 @@ def check_alpha_condition(graph: ResolutionGraph) -> tuple[bool, list[str]]:
     return (not violations, violations)
 
 
-def _exceptional_cycle(graph: ResolutionGraph, realizing) -> bool:
-    """Whether the realizing rational exceptional curves contain a cycle."""
-    verts = {c.id for c in realizing if c.is_exceptional and c.genus == 0}
-    # each edge is read once, at its point's first incident component
-    edges = [
-        p.incident
-        for v in verts
-        for p in graph.points_on(v)
-        if len(p.incident) == 2 and p.incident[0] == v and p.incident[1] in verts
-    ]
-    # union-find over multigraph; any edge joining already-connected vertices closes a cycle
-    parent = {v: v for v in verts}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for a, b in edges:
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return True
-        parent[ra] = rb
-    return False
-
-
 @dataclass(frozen=True)
 class PoleEntry:
     s0: Fraction
@@ -217,9 +190,11 @@ def classify_poles(graph: ResolutionGraph) -> PoleReport:
 
     Motivic order 2 iff two intersecting components realize s0; order 1 iff
     one of the clauses fires: (i) a strict transform inside D or D cap W,
-    (ii) a non-rational exceptional curve, (iii) a cycle of rational
-    exceptional curves, (iv) a rupture component.  Topological orders are
-    read off the poles Ztop carries.
+    (ii) a non-rational exceptional curve, (iv) a rupture component.  Clause
+    (iii), a cycle of rational exceptional curves through the realizing
+    ones, has no test here: among the realizing components it could only
+    close at a point where two of them meet, which is order 2.  Topological
+    orders are read off the poles Ztop carries.
     """
     z = ztop(graph)
     top = z.poles()
@@ -240,8 +215,6 @@ def classify_poles(graph: ResolutionGraph) -> PoleReport:
                     witnesses.append((comp.id, "non-rational"))
                 elif comp.id in rupture:
                     witnesses.append((comp.id, "rupture"))
-            if _exceptional_cycle(graph, realizing):
-                witnesses.append((min(c.id for c in realizing), "cycle"))
             if witnesses:
                 mot = 1
         residue = None

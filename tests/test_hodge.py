@@ -495,3 +495,99 @@ def test_largest_hodge_euler_draw_is_fast():
     start = time.perf_counter()
     assert h == h_smooth
     assert time.perf_counter() - start < 2.0
+
+
+def test_num_series_matches_direct_binomials():
+    # P_j = sum c 2^g binomial(A + B s, j), each taken at three rational s
+    # as a plain falling product over j!
+    import random
+    from math import factorial
+
+    from qzeta.hodge import _num_series
+
+    rng = random.Random(3)
+
+    def frac():
+        return Fraction(rng.randint(-12, 12), rng.choice((1, 2, 3, 5, 6)))
+
+    def direct(num, j, s):
+        total = Fraction(0)
+        for (A, B, g), c in num.items():
+            x = A + B * s
+            prod = Fraction(1)
+            for i in range(j):
+                prod *= x - i
+            total += c * 2**g * prod
+        return total / factorial(j)
+
+    for n in range(1, 7):
+        for case in range(8):
+            num = {}
+            for _ in range(rng.randint(1, 4)):
+                key = (frac(), frac(), rng.randint(0, 2))
+                num[key] = num.get(key, 0) + frac()
+            if case % 4 == 1:
+                # c (uv)^M - c/2 (uv)^M (u+v) vanishes under u + v = 2
+                (A, B, _), c = next(iter(num.items()))
+                num[(A, B, 1)] = num.get((A, B, 1), 0) - c / 2
+                num[(A, B, 0)] = num.get((A, B, 0), 0) + c
+            elif case % 4 == 2:
+                # times (uv - 1)^2: P_0 and P_1 vanish and P_2 is constant
+                sq = {}
+                for (A, B, g), c in num.items():
+                    for shift, k in ((2, 1), (1, -2), (0, 1)):
+                        sq[(A + shift, B, g)] = sq.get((A + shift, B, g), 0) + k * c
+                num = sq
+            elif case % 4 == 3:
+                # each monomial cancelled by -1/2 its (u+v) multiple
+                cancel = dict(num)
+                for (A, B, g), c in num.items():
+                    cancel[(A, B, g + 1)] = cancel.get((A, B, g + 1), 0) - c / 2
+                num = cancel
+            series = _num_series(tuple(num.items()), n)
+            assert len(series) == n
+            for j, p in enumerate(series):
+                assert p.degree <= j
+                for s in (Fraction(-7, 3), Fraction(0), Fraction(5, 2)):
+                    assert p.eval(s) == direct(num, j, s)
+            if case % 4 == 2 and n >= 3:
+                assert series[0].is_zero and series[1].is_zero and series[2].degree <= 0
+            if case % 4 == 3:
+                assert all(p.is_zero for p in series)
+
+
+def test_hodge_and_ztop_paths_run_no_polynomial_division(monkeypatch):
+    import random
+
+    import qzeta.hodge
+    import qzeta.zeta
+    from qzeta import classify_poles
+    from qzeta.errors import OrderTwo, ZeroAlpha
+    from qzeta.hodge import SFactor
+    from qzeta.verify import _random_graphs
+
+    # the per-term Poly and dict products and the dead cycle clause are gone
+    for name in ("_dict_mul", "_dict_add", "UV_MINUS_1", "_binom_polys"):
+        assert not hasattr(qzeta.hodge, name), name
+    assert not hasattr(SFactor, "num_dict")
+    assert not hasattr(qzeta.zeta, "_exceptional_cycle")
+
+    def refuse(*_):
+        raise AssertionError("polynomial division on a library path")
+
+    monkeypatch.setattr(Poly, "divmod", refuse)
+    residues = 0
+    for seed in range(3):
+        for g in _random_graphs(random.Random(seed)):
+            for graph in (g, insert_hj_chains(g)):
+                z = ztop(graph)
+                classify_poles(graph)
+                assert euler_specialize(hodge_zeta(graph)) == z
+                for s0 in sorted(graph.candidate_poles()):
+                    try:
+                        res = top_residue(graph, s0)
+                    except (OrderTwo, ZeroAlpha):
+                        continue
+                    assert euler_specialize(hodge_residue(graph, s0)) == res
+                    residues += 1
+    assert residues >= 10

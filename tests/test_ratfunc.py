@@ -144,3 +144,50 @@ def test_partial_fractions_of_an_unreduced_quotient():
     # a polynomial part from the division: s^3 / (s - 1) = s^2 + s + 1 + 1/(s - 1)
     poly, parts = partial_fractions(Poly([0, 0, 0, 1]), {1: 1})
     assert poly == Poly([1, 1, 1]) and parts == {1: [1]}
+
+
+def test_list_kernels_match_gcd_oracle():
+    # partial_fractions and from_partial_fractions against the gcd route:
+    # roots of multiplicity 1 to 3, no roots at all, numerators with a
+    # polynomial part, and numerators sharing a root with the denominator,
+    # whose split carries trailing zeros
+    import random
+
+    rng = random.Random(5)
+
+    def frac():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+
+    seen = set()
+    for _ in range(80):
+        roots = {frac(): rng.randint(1, 3) for _ in range(rng.randint(0, 3))}
+        total = sum(roots.values())
+        den = Poly.const(1)
+        for a, m in roots.items():
+            den = den * _power(Poly.linear_form(-a, 1), m)
+        num = Poly([frac() for _ in range(rng.randint(0, total + 2))])
+        if roots and rng.random() < 0.3:
+            num = num * Poly.linear_form(-next(iter(roots)), 1)
+        poly, parts = partial_fractions(num, roots)
+        assert {a: len(cs) for a, cs in parts.items()} == roots
+        assert poly == num.divmod(den)[0]
+        z = RatFunc.from_partial_fractions(poly, parts)
+        expected = ratfunc(num, den)
+        assert z == expected and z.poles() == expected.poles()
+        # the same parts through the gcd route, with trailing zeros appended
+        padded = {a: [*cs, *[0] * rng.randint(0, 2)] for a, cs in parts.items()}
+        fracs = [(poly, Poly.const(1))] + [
+            (Poly.const(c), _power(Poly.linear_form(-a, 1), k))
+            for a, cs in padded.items()
+            for k, c in enumerate(cs, 1)
+        ]
+        assert RatFunc.from_partial_fractions(poly, padded) == ratfunc(*fraction_sum(fracs))
+        seen.add(("roots", min(total, 1)))
+        seen.update(("mult", m) for m in roots.values())
+        seen.add(("poly part", not poly.is_zero))
+        seen.add(("trailing zero", any(cs and cs[-1] == 0 for cs in parts.values())))
+    assert seen == {
+        ("roots", 0), ("roots", 1), ("mult", 1), ("mult", 2), ("mult", 3),
+        ("poly part", False), ("poly part", True),
+        ("trailing zero", False), ("trailing zero", True),
+    }

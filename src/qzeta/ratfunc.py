@@ -6,8 +6,9 @@ Every ``RatFunc`` is built from its partial fractions at known roots by
 P / prod (s - a)^m at roots already known, by a Taylor shift at each root,
 so neither a polynomial gcd nor root finding is ever needed.  Both
 directions work on coefficient lists with Horner division by s - a;
-``Poly`` stays the value type they take and return.  The result carries
-its factorisation, and ``poles``, ``residue`` and ``render`` read it off.
+``Poly`` stays the value type they take and return.  The result keeps its
+partial fractions: ``poles`` reads the orders off them, ``residue`` the
+coefficient of 1/(s - s0), and ``render`` the factored denominator.
 """
 
 from __future__ import annotations
@@ -160,10 +161,11 @@ class RatFunc:
 
     ``den`` is the product of (s - s0)^order over the poles and ``num``
     vanishes at none of them, so ``num``/``den`` is the canonical state;
-    ``_poles`` maps each pole s0 to its order.
+    ``_parts`` maps each pole s0 to its trimmed coefficients (c1, ..., cm)
+    of 1/(s - s0)^k, m being the order.
     """
 
-    __slots__ = ("num", "den", "_poles")
+    __slots__ = ("num", "den", "_parts")
 
     @classmethod
     def from_partial_fractions(cls, const, parts) -> "RatFunc":
@@ -181,8 +183,7 @@ class RatFunc:
                 cs.pop()
             if cs:
                 trimmed[_frac(s0)] = cs
-        poles = {s0: len(cs) for s0, cs in trimmed.items()}
-        den = _monic_product(poles)
+        den = _monic_product({s0: len(cs) for s0, cs in trimmed.items()})
         head = const.coeffs if isinstance(const, Poly) else (_frac(const),)
         num = [Fraction(0)] * (len(den) + max(len(head), 1) - 1)
         for i, c in enumerate(head):
@@ -196,7 +197,7 @@ class RatFunc:
                 for i, x in enumerate(cof):
                     num[i] += c * x
         self = cls.__new__(cls)
-        self.num, self.den, self._poles = Poly(num), Poly(den), poles
+        self.num, self.den, self._parts = Poly(num), Poly(den), trimmed
         return self
 
     @classmethod
@@ -226,7 +227,8 @@ class RatFunc:
         if c == 0:
             return RatFunc.zero()
         out = RatFunc.__new__(RatFunc)
-        out.num, out.den, out._poles = self.num * c, self.den, self._poles
+        out.num, out.den = self.num * c, self.den
+        out._parts = {s0: [x * c for x in cs] for s0, cs in self._parts.items()}
         return out
 
     __rmul__ = __mul__
@@ -239,22 +241,15 @@ class RatFunc:
 
     def poles(self) -> dict[Fraction, int]:
         """Poles with their orders."""
-        return dict(self._poles)
+        return {s0: len(cs) for s0, cs in self._parts.items()}
 
     def residue(self, s0) -> Fraction:
-        """Residue at a pole of order <= 1 (0 when s0 is not a pole)."""
-        s0 = _frac(s0)
-        order = self._poles.get(s0, 0)
-        if order == 0:
-            return Fraction(0)
-        if order > 1:
-            raise InputError(f"residue at pole of order {order}")
-        # the monic denominator over (s - s0), evaluated at s0
-        rest = Fraction(1)
-        for s1, mult in self._poles.items():
-            if s1 != s0:
-                rest *= (s0 - s1) ** mult
-        return self.num.eval(s0) / rest
+        """The coefficient of 1/(s - s0): the residue at a pole of order <= 1
+        (0 when s0 is not a pole)."""
+        cs = self._parts.get(_frac(s0), (Fraction(0),))
+        if len(cs) > 1:
+            raise InputError(f"residue at pole of order {len(cs)}")
+        return cs[0]
 
     def render(self, var: str = "s") -> str:
         """Canonical string: integer-cleared content-free P/Q, factored Q."""
@@ -264,7 +259,7 @@ class RatFunc:
         # monic den = prod (s - root)^mult = extra * prod(primitive factors)
         factors = []
         extra = Fraction(1)
-        for root, mult in sorted(self._poles.items(), reverse=True):
+        for root, mult in sorted(self.poles().items(), reverse=True):
             lin = Poly([-root, 1])
             prim, cont = lin.integer_cleared()
             factors.append((prim, mult))

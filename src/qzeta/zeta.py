@@ -9,10 +9,10 @@ Q-resolution is
 with the two linear forms at a point taken from its incident components
 (imaginary curvette (0,1) for a missing incidence).  Every pole is a root
 -nu/N of a known form, so each term splits into partial fractions in closed
-form and the sum is built once from them, carrying its poles; no root
-finding runs on this path.  Pole orders of the reduced rational function
-are the source of truth on the topological side; the combinatorial
-classification below decides the motivic side.
+form and the sum is built once from them; no root finding runs on this
+path.  On the topological side, orders and residues are read off the
+partial fractions; the combinatorial classification below decides the
+motivic side.
 """
 
 from __future__ import annotations
@@ -25,29 +25,33 @@ from .ratfunc import RatFunc
 from .resolution import NumericalData, ResolutionGraph
 
 
-def zeta_from_terms(terms) -> RatFunc:
-    """Sum of c / prod(forms) over ``terms``, pairs (c, forms) of one or two
-    ``NumericalData`` with no (0, 0) form, from its partial fractions.
+def _factor(data: NumericalData) -> tuple[Fraction | None, Fraction]:
+    """(root, scale) of a form: (-nu/N, 1/N), or (None, 1/nu) when N = 0."""
+    if data.N == 0:
+        return None, 1 / data.nu
+    return -data.nu / data.N, 1 / data.N
+
+
+def _split(terms) -> tuple[Fraction, dict[Fraction, list[Fraction]]]:
+    """(constant, {s0: [c1, c2]}), c_k untrimmed at 1/(s - s0)^k, of the sum
+    of c / prod(forms) over ``terms``, c with the ``_factor`` of each form.
 
     chi/(nu + N s) is chi/N at -nu/N; m/((nu1 + N1 s)(nu2 + N2 s)) is
     +-m/(N1 N2 (a - b)) at the roots a != b, or m/(N1 N2) on the square when
     a = b; a form with N = 0 is the constant nu.
     """
-    const = Fraction(0)
+    const = zero = Fraction(0)
     parts: dict[Fraction, list[Fraction]] = {}
 
     def add(s0, k, c):
-        parts.setdefault(s0, [Fraction(0), Fraction(0)])[k] += c
+        parts.setdefault(s0, [zero, zero])[k] += c
 
-    for c, forms in terms:
-        c = Fraction(c)
+    for c, factors in terms:
         roots = []
-        for f in forms:
-            if f.N == 0:
-                c /= f.nu
-            else:
-                c /= f.N
-                roots.append(-f.nu / f.N)
+        for root, scale in factors:
+            c *= scale
+            if root is not None:
+                roots.append(root)
         if not roots:
             const += c
         elif len(roots) == 1:
@@ -56,23 +60,38 @@ def zeta_from_terms(terms) -> RatFunc:
             add(roots[0], 1, c)
         else:
             a, b = roots
-            add(a, 0, c / (a - b))
-            add(b, 0, c / (b - a))
-    return RatFunc.from_partial_fractions(const, parts)
+            c /= a - b
+            add(a, 0, c)
+            add(b, 0, -c)
+    return const, parts
+
+
+def zeta_from_terms(terms) -> RatFunc:
+    """Sum of c / prod(forms) over ``terms``, pairs (c, forms) of one or two
+    ``NumericalData`` with no (0, 0) form, from its partial fractions."""
+    split = _split((c, [_factor(f) for f in forms]) for c, forms in terms)
+    return RatFunc.from_partial_fractions(*split)
+
+
+def _ztop_split(graph: ResolutionGraph):
+    """``_split`` of Ztop's terms, factoring each component's form once; a
+    missing incidence is the curvette (0, 1), a factor of 1."""
+    for comp in graph.components:
+        if comp.data.is_zero_form:
+            raise ZeroDenominatorForm(f"component {comp.id!r} has data (0,0)")
+    factor = {comp.id: _factor(comp.data) for comp in graph.components}
+    terms = [
+        (chi, (factor[comp.id],))
+        for comp in graph.exceptional
+        if (chi := graph.euler_open(comp.id))
+    ]
+    terms += [(p.order, [factor[cid] for cid in p.incident]) for p in graph.points]
+    return _split(terms)
 
 
 def ztop(graph: ResolutionGraph) -> RatFunc:
     """Exact topological zeta function of the pair carried by the graph."""
-    for comp in graph.components:
-        if comp.data.is_zero_form:
-            raise ZeroDenominatorForm(f"component {comp.id!r} has data (0,0)")
-    terms = [
-        (chi, (comp.data,))
-        for comp in graph.exceptional
-        if (chi := graph.euler_open(comp.id))
-    ]
-    terms += [(point.order, graph.incident_data(point)) for point in graph.points]
-    return zeta_from_terms(terms)
+    return RatFunc.from_partial_fractions(*_ztop_split(graph))
 
 
 def ztop_nc_quotient(group_order: int, d1: NumericalData, d2: NumericalData) -> RatFunc:
@@ -193,14 +212,20 @@ def classify_poles(graph: ResolutionGraph) -> PoleReport:
     (ii) a non-rational exceptional curve, (iv) a rupture component.  Clause
     (iii), a cycle of rational exceptional curves through the realizing
     ones, has no test here: among the realizing components it could only
-    close at a point where two of them meet, which is order 2.  Topological
-    orders are read off the poles Ztop carries.
+    close at a point where two of them meet, which is order 2.
+
+    Topological orders and residues are read off Ztop's partial fractions:
+    with c_k the coefficient of 1/(s - s0)^k, the order is 2 if c2 != 0,
+    else 1 if c1 != 0, else 0, and below motivic order 2 the residue is c1.
+    That equals :func:`top_residue`, whose ``ZeroAlpha`` cannot fire there:
+    alpha vanishes at a realizing curve only against a neighbour realizing
+    s0 (an intersecting pair) or a (0, 0) form, which ``ztop`` rejects.
     """
-    z = ztop(graph)
-    top = z.poles()
+    _, parts = _ztop_split(graph)
     rupture = set(rupture_components(graph))
     entries = []
     for s0 in sorted(graph.candidate_poles(), reverse=True):
+        c1, c2 = parts.get(s0, (Fraction(0), Fraction(0)))
         realizing = graph.realizing(s0)
         witnesses: list[tuple[str, str]] = []
         if _intersecting_pair(graph, realizing):
@@ -217,18 +242,12 @@ def classify_poles(graph: ResolutionGraph) -> PoleReport:
                     witnesses.append((comp.id, "rupture"))
             if witnesses:
                 mot = 1
-        residue = None
-        if mot < 2:
-            try:
-                residue = top_residue(graph, s0)
-            except (OrderTwo, ZeroAlpha):
-                residue = None
         entry = PoleEntry(
             s0=s0,
-            top_order=top.get(s0, 0),
+            top_order=2 if c2 else 1 if c1 else 0,
             motivic_order=mot,
             witnesses=tuple(witnesses),
-            residue=residue,
+            residue=c1 if mot < 2 else None,
         )
         if entry.top_order > entry.motivic_order:
             raise AssertionError(

@@ -3,7 +3,8 @@
 The library builds every ``RatFunc`` from partial fractions at known roots.
 This module is the independent route it is checked against: reduce P/Q by
 a Euclidean polynomial gcd and find the poles by rational-root trial
-division.
+division.  Residues at simple poles come from the reduced P/Q by the
+usual formula, not from the split.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from qzeta import Poly, RatFunc
+from qzeta.ratfunc import partial_fractions
 
 
 def monic(p: Poly) -> Poly:
@@ -80,10 +82,21 @@ def fraction_sum(fracs) -> tuple[Poly, Poly]:
 
 
 def ratfunc(num: Poly, den: Poly) -> RatFunc:
-    """The RatFunc equal to num/den, reduced and factored by this oracle."""
+    """The RatFunc equal to num/den, reduced and factored by this oracle and
+    built through its split at those roots."""
     num, den = reduce(num, den)
     roots = rational_roots(den)
     assert sum(roots.values()) == den.degree, "denominator does not split over Q"
-    z = RatFunc.__new__(RatFunc)
-    z.num, z.den, z._poles = num, den, roots
+    z = RatFunc.from_partial_fractions(*partial_fractions(num, roots))
+    assert (z.num, z.den) == (num, den)
     return z
+
+
+def simple_residue(num: Poly, roots: dict[Fraction, int], s0) -> Fraction:
+    """Residue of num / prod (s - s1)^m over ``roots`` at a simple pole s0:
+    num(s0) / prod over s1 != s0 of (s0 - s1)^m."""
+    rest = Fraction(1)
+    for s1, mult in roots.items():
+        if s1 != s0:
+            rest *= (s0 - s1) ** mult
+    return num.eval(s0) / rest

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from ratfunc_oracle import fraction_sum, poly_gcd, ratfunc, rational_roots
+from ratfunc_oracle import fraction_sum, poly_gcd, ratfunc, rational_roots, simple_residue
 
 from qzeta import Poly, RatFunc
 from qzeta.errors import InputError
@@ -101,8 +101,9 @@ small = st.fractions(min_value=-6, max_value=6, max_denominator=6)
     const=st.lists(small, max_size=3),
     parts=st.dictionaries(small, st.lists(small, max_size=3), max_size=4),
     s=small,
+    scale=small.filter(bool),
 )
-def test_from_partial_fractions_round_trip(const, parts, s):
+def test_from_partial_fractions_round_trip(const, parts, s, scale):
     z = RatFunc.from_partial_fractions(Poly(const), parts)
     # the gcd route is the oracle for the reduced P/Q and its roots
     fracs = [(Poly(const), Poly.const(1))]
@@ -112,7 +113,15 @@ def test_from_partial_fractions_round_trip(const, parts, s):
             fracs.append((Poly.const(c), _power(x, k)))
     general = ratfunc(*fraction_sum(fracs))
     assert z == general
-    assert z.poles() == general.poles()
+    roots = rational_roots(general.den)
+    assert z.poles() == general.poles() == roots
+    # residues against the formula on the reduced P/Q, and under scaling
+    scaled = z * scale
+    assert scaled.poles() == z.poles()
+    for s0, order in roots.items():
+        if order == 1:
+            assert z.residue(s0) == simple_residue(general.num, roots, s0)
+            assert scaled.residue(s0) == scale * z.residue(s0)
     # splitting P/Q again at the known roots gives back the trimmed parts
     poly, split = partial_fractions(z.num, z.poles())
     assert poly == Poly(const)

@@ -17,7 +17,7 @@ from qzeta import (
     ztop,
     ztop_nc_quotient,
 )
-from qzeta.errors import OrderTwo, ZeroAlpha, ZeroDenominatorForm
+from qzeta.errors import OrderTwo, ZeroDenominatorForm
 
 
 def lin(nu, N):
@@ -199,13 +199,41 @@ def test_ztop_matches_gcd_route_poles_and_residues():
     for g in _oracle_graphs(200, 20261018):
         z = ztop(g)
         assert (z.num, z.den) == _gcd_route(g)
-        assert z.poles() == rational_roots(z.den)
-        for s0 in g.candidate_poles():
-            try:
-                res = top_residue(g, s0)
-            except (OrderTwo, ZeroAlpha):
-                continue
-            assert z.residue(s0) == res
+        poles = z.poles()
+        assert poles == rational_roots(z.den)
+        entries = classify_poles(g).entries
+        assert [e.s0 for e in entries] == sorted(g.candidate_poles(), reverse=True)
+        for e in entries:
+            assert e.top_order == poles.get(e.s0, 0)
+            assert (e.residue is None) == (e.motivic_order == 2)
+            if e.motivic_order < 2:
+                # the combinatorial route raises neither OrderTwo nor ZeroAlpha here
+                assert e.residue == top_residue(g, e.s0) == z.residue(e.s0)
+            else:
+                with pytest.raises(OrderTwo):
+                    top_residue(g, e.s0)
+
+
+def test_classify_poles_reads_ztop_split_directly(monkeypatch):
+    # the report reads orders and residues off Ztop's partial fractions:
+    # it builds no RatFunc and runs no combinatorial residue
+    import random
+
+    import qzeta.zeta
+    from qzeta.verify import _random_graphs
+
+    def refuse(*_):
+        raise AssertionError("classify_poles left Ztop's split")
+
+    monkeypatch.setattr(RatFunc, "from_partial_fractions", refuse)
+    monkeypatch.setattr(qzeta.zeta, "top_residue", refuse)
+    residues = 0
+    for seed in range(3):
+        for g in _random_graphs(random.Random(seed)):
+            for graph in (g, insert_hj_chains(g)):
+                entries = classify_poles(graph).entries
+                residues += sum(e.residue is not None for e in entries)
+    assert residues >= 10
 
 
 def test_ztop_path_runs_no_root_finding():

@@ -16,16 +16,9 @@ import sys
 from pathlib import Path
 
 from .engraph import en_graph, en_to_dot
-from .errors import InputError, PathologicalCase, QzetaError
+from .errors import InputError, QzetaError
 from .instances import Instance, load_instance
-from .quotient import (
-    _pathological_data,
-    build_quotient,
-    lift_pair,
-    pathological_zeta,
-    verify_correspondence,
-    verify_theorem,
-)
+from .quotient import build_quotient, lift_pair, verify_correspondence, verify_theorem
 from .cyclic import PLANE
 from .resolution import NumericalData, insert_hj_chains, weighted_blowup
 from .serialize import (
@@ -122,13 +115,7 @@ def _instance_graphs(inst: Instance):
         return inst.graph, None
     if not inst.is_quotient:
         return weighted_blowup(PLANE, inst.spec), None
-    dbar, wbar = inst.down_pair
-    try:
-        pair = build_quotient(inst.surface, dbar, wbar)
-    except PathologicalCase:
-        N, nu = _pathological_data(dbar, wbar)
-        _, _, graph_down = pathological_zeta(inst.surface, N, nu)
-        return graph_down, None
+    pair = build_quotient(inst.surface, *inst.down_pair)
     return pair.graph_down, pair
 
 
@@ -201,34 +188,23 @@ def cmd_quotient(args) -> int:
     dbar, wbar = inst.down_pair
     setup = inst.surface
     reports = [verify_theorem(which, setup, dbar, wbar) for which in ("A", "B", "C")]
-    try:
-        pair = build_quotient(setup, dbar, wbar)
-    except PathologicalCase:
-        pair = None
-        N, nu = _pathological_data(dbar, wbar)
-        down, up, graph_down = pathological_zeta(setup, N, nu)
-        print(f"swapped-branch configuration on X({setup.d};{setup.a},{setup.b})")
-        print(f"Ztop downstairs = {down.render()}")
-        print(f"Ztop upstairs   = {up.render()}")
-        if "graph" in emits:
-            _write(args, "graph_down.json", graph_to_json(graph_down))
-    if pair is not None:
-        corr = verify_correspondence(pair)
-        print(
-            f"quotient X({setup.d};{setup.a},{setup.b}): correspondence "
-            + ("holds" if corr["holds"] else "FAILS")
-        )
-        print(f"Ztop upstairs   = {ztop(pair.graph_up).render()}")
-        print(f"Ztop downstairs = {ztop(pair.graph_down).render()}")
-        if "quotient" in emits:
-            payload = quotient_pair_to_json(pair)
-            payload["correspondence"] = corr
-            payload["theorems"] = [theorem_report_to_json(r) for r in reports]
-            _write(args, "quotient.json", payload)
-        if "dot" in emits:
-            _write(args, "en_down.dot", en_to_dot(en_graph(pair.graph_down)))
-        if not corr["holds"]:
-            return 3
+    pair = build_quotient(setup, dbar, wbar)
+    corr = verify_correspondence(pair)
+    print(
+        f"quotient X({setup.d};{setup.a},{setup.b}): correspondence "
+        + ("holds" if corr["holds"] else "FAILS")
+    )
+    print(f"Ztop upstairs   = {ztop(pair.graph_up).render()}")
+    print(f"Ztop downstairs = {ztop(pair.graph_down).render()}")
+    if "quotient" in emits:
+        payload = quotient_pair_to_json(pair)
+        payload["correspondence"] = corr
+        payload["theorems"] = [theorem_report_to_json(r) for r in reports]
+        _write(args, "quotient.json", payload)
+    if "dot" in emits:
+        _write(args, "en_down.dot", en_to_dot(en_graph(pair.graph_down)))
+    if not corr["holds"]:
+        return 3
     for rep in reports:
         print(f"theorem {rep.theorem}: {rep.verdict}")
     if any(r.verdict == "fails" for r in reports):

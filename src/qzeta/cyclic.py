@@ -43,10 +43,6 @@ class CyclicType:
             raise InputError("weights must be reduced mod m")
 
     @property
-    def order(self) -> int:
-        return self.m
-
-    @property
     def is_small(self) -> bool:
         return gcd(self.m, self.a) == 1 and gcd(self.m, self.b) == 1
 

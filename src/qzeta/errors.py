@@ -70,8 +70,6 @@ class UnsupportedOrbit(InputError):
 
 
 class PathologicalCase(InputError):
-    """Swapped-branch configuration: route to the dedicated constructor."""
-
-
-class NotPathological(InputError):
-    """Constructor for the swapped-branch case got other input."""
+    """No library path raises this: two branches swapped by the action
+    build through the general quotient.  Kept only for callers that still
+    import it."""

@@ -8,7 +8,9 @@ the quotient: numerical data divide by ramification indices, point orbits
 collapse, and chart-origin orders are recomputed from the full orbifold
 chart groups as an independent route.  A correspondence table records
 every pairing for the proportionality checks (N,nu) = e (Nbar,nubar),
-alpha = n alphabar and d m = r e1 e2 mbar.
+alpha = n alphabar and d m = r e1 e2 mbar.  Every pair takes this one
+route, including two transverse branches swapped by the action, whose
+downstairs total transform is not Q-normal crossing before the blow-up.
 """
 
 from __future__ import annotations
@@ -22,11 +24,8 @@ from .errors import (
     DuplicateBranch,
     InputError,
     MixedOrbitMultiplicity,
-    NotPathological,
-    PathologicalCase,
     UnsupportedOrbit,
 )
-from .ratfunc import RatFunc
 from .resolution import (
     BranchEntry,
     CClass,
@@ -42,7 +41,7 @@ from .resolution import (
     validate_weights,
     weighted_blowup,
 )
-from .zeta import classify_poles, rupture_components, zeta_from_terms, ztop, ztop_nc_quotient
+from .zeta import classify_poles, rupture_components, ztop
 
 
 def _frac(x) -> Fraction:
@@ -182,7 +181,6 @@ class OrbitAnalysis:
     step: int
     size: int
     orbits: tuple[Orbit, ...]
-    pathological: bool
 
 
 def branch_orbit_analysis(setup: QuotientSetup, spec: DivisorSpec) -> OrbitAnalysis:
@@ -190,9 +188,7 @@ def branch_orbit_analysis(setup: QuotientSetup, spec: DivisorSpec) -> OrbitAnaly
 
     A branch y^p = c x^q is invariant iff q a = p b mod d; otherwise orbits
     have size r = d / gcd(d, pb - qa).  Orbits must be complete with equal
-    coefficients.  Flags the swapped-branch configuration that leaves the
-    downstairs total transform outside Q-normal crossing: weights (1,1),
-    no axis in supp(D) or supp(W), and a single orbit of two branches.
+    coefficients.
     """
     d = setup.d
     step = orbit_step(setup, spec.pq)
@@ -226,11 +222,7 @@ def branch_orbit_analysis(setup: QuotientSetup, spec: DivisorSpec) -> OrbitAnaly
                     )
                 members.append(entry.label)
             orbits.append(Orbit(family, tuple(members), r, first.N, first.w))
-    no_axes = spec.axis_x == (0, 0) and spec.axis_y == (0, 0)
-    pathological = (
-        spec.pq == (1, 1) and no_axes and len(orbits) == 1 and r == 2
-    )
-    return OrbitAnalysis(step, r, tuple(orbits), pathological)
+    return OrbitAnalysis(step, r, tuple(orbits))
 
 
 def exceptional_ramification(setup: QuotientSetup, pq: tuple[int, int]) -> int:
@@ -313,12 +305,7 @@ def build_quotient(
     """
     spec_up = lift_pair(setup, dbar, wbar)
     validate_divisor(spec_up)
-    analysis = branch_orbit_analysis(setup, spec_up)
-    if analysis.pathological:
-        raise PathologicalCase(
-            "swapped transverse branches: use pathological_zeta"
-        )
-    return _assemble(setup, spec_up, analysis, dbar, wbar)
+    return _assemble(setup, spec_up, branch_orbit_analysis(setup, spec_up))
 
 
 def split_down_spec(spec_down: DivisorSpec) -> tuple[DownDivisor, DownDivisor]:
@@ -340,11 +327,7 @@ def build_quotient_from_spec(setup: QuotientSetup, spec_down: DivisorSpec) -> Qu
 
 
 def _assemble(
-    setup: QuotientSetup,
-    spec_up: DivisorSpec,
-    analysis: OrbitAnalysis,
-    dbar: DownDivisor,
-    wbar: DownDivisor,
+    setup: QuotientSetup, spec_up: DivisorSpec, analysis: OrbitAnalysis
 ) -> QuotientPair:
     d = setup.d
     p, q = spec_up.pq
@@ -487,64 +470,6 @@ def _unswapped(lt: CyclicType) -> CyclicType:
 
 
 # ---------------------------------------------------------------------------
-# the swapped-branch (pathological) configuration
-
-
-def pathological_zeta(
-    setup: QuotientSetup, N, nu
-) -> tuple[RatFunc, RatFunc, ResolutionGraph]:
-    """Closed forms for two transverse smooth branches swapped by the action.
-
-    Upstairs D = N(C1 + C2), W = (nu - 1)(C1 + C2) is normal crossing with
-    Ztop = 1/(Ns + nu)^2; downstairs the total transform fails Q-normal
-    crossing and one (1,1)-blow-up yields
-    Ztop = (d/4)(3Ns + 3nu + 1)/(Ns + nu)^2
-         = (3d/4)/(Ns + nu) + (d/4)/(Ns + nu)^2.  Returns (down, up, graph_down).
-    """
-    N = _frac(N)
-    nu = _frac(nu)
-    d = setup.d
-    if N <= 0:
-        raise NotPathological("the swapped pair needs N > 0")
-    if d % 2 or (setup.b - setup.a) % d != d // 2:
-        raise NotPathological(
-            f"(d;a,b)=({d};{setup.a},{setup.b}) does not satisfy 2(b-a) = d"
-        )
-    data = NumericalData(N, nu)
-    up = ztop_nc_quotient(1, data, data)
-    down_closed = zeta_from_terms([(Fraction(3 * d, 4), (data,)), (Fraction(d, 4), (data, data))])
-
-    e_data = NumericalData(4 * N / d, 4 * nu / d)
-    comps = [
-        Component("E", "exceptional", e_data, genus=0, log_discrepancy=Fraction(4, d)),
-        Component("C", strict_kind(N, nu - 1), NumericalData(N, nu), label="C"),
-    ]
-    half = CyclicType(2, 1, 1)
-    points = [oriented_point("pt_C", CyclicType(1, 0, 0), "E", "C")]
-    if d % 4 == 0:
-        points.append(oriented_point("U", half, "E", None))
-        points.append(oriented_point("V", half, None, "E"))
-    else:
-        # non-small: one axis carries B_rho and meets E at a smooth point
-        if setup.e1 == 2:
-            comps.append(
-                Component("Lx", "branch_curve", NumericalData(0, Fraction(1, 2)), label="{x=0}")
-            )
-            points.append(oriented_point("U", half, "E", None))
-            points.append(oriented_point("V", CyclicType(1, 0, 0), "Lx", "E"))
-        else:
-            comps.append(
-                Component("Ly", "branch_curve", NumericalData(0, Fraction(1, 2)), label="{y=0}")
-            )
-            points.append(oriented_point("U", CyclicType(1, 0, 0), "E", "Ly"))
-            points.append(oriented_point("V", half, None, "E"))
-    graph_down = ResolutionGraph(setup.germ, tuple(comps), tuple(points))
-    check_adjunction(graph_down)
-    assert ztop(graph_down) == down_closed
-    return down_closed, up, graph_down
-
-
-# ---------------------------------------------------------------------------
 # mechanical verification of the correspondence and the comparison theorems
 
 
@@ -553,7 +478,10 @@ def verify_correspondence(pair: QuotientPair) -> dict:
 
     Checks (N,nu) = e (Nbar,nubar) on component rows, d m = r e1 e2 mbar and
     alpha = n alphabar on point rows, integrality of the covering degrees,
-    and the rupture bookkeeping of the covering E -> Ebar.
+    and the rupture bookkeeping of the covering E -> Ebar.  A rupture Ebar
+    makes s0 = -nubar/Nbar = -nu/N a motivic pole downstairs, so Theorem A
+    needs s0 among the motivic poles upstairs; E need not be a rupture
+    component itself (two swapped branches meet on E at an order-two pole).
     """
     up, down, table = pair.graph_up, pair.graph_down, pair.table
     d = table.d
@@ -587,7 +515,9 @@ def verify_correspondence(pair: QuotientPair) -> dict:
     up_rupture = "E" in rupture_components(up)
     down_rupture = "E" in rupture_components(down)
     if down_rupture and not up_rupture:
-        failures.append("rupture component downstairs without rupture upstairs")
+        s0 = -down.component("E").data.ratio
+        if s0 not in classify_poles(up).motivic_poles():
+            failures.append(f"rupture component downstairs at {s0}, no motivic pole upstairs")
     degree = d // table.e_exc
     if up_rupture and not down_rupture and degree > 1:
         # Total-ramification points are the two chart origins; one of them
@@ -618,11 +548,6 @@ def _pole_evidence(graph: ResolutionGraph) -> tuple[dict, dict]:
     return report.top_poles(), report.motivic_poles()
 
 
-def _pathological_data(dbar: DownDivisor, wbar: DownDivisor) -> tuple[Fraction, Fraction]:
-    label, N = dbar.branches[0]
-    return N, 1 + wbar.branch_coeff(label)
-
-
 def verify_theorem(
     which: str, setup: QuotientSetup, dbar: DownDivisor, wbar: DownDivisor
 ) -> TheoremReport:
@@ -630,11 +555,7 @@ def verify_theorem(
     Wbar = -B_rho) or C (exact d-scaling for invariant components)."""
     if which not in ("A", "B", "C"):
         raise InputError(f"unknown theorem {which!r}")
-    try:
-        pair = build_quotient(setup, dbar, wbar)
-    except PathologicalCase:
-        return _verify_on_pathological(which, setup, dbar, wbar)
-
+    pair = build_quotient(setup, dbar, wbar)
     if which == "A":
         top_up, mot_up = _pole_evidence(pair.graph_up)
         top_down, mot_down = _pole_evidence(pair.graph_down)
@@ -684,63 +605,24 @@ def verify_theorem(
     z_up = ztop(pair.graph_up)
     z_down = ztop(pair.graph_down)
     if not all(o.invariant for o in pair.analysis.orbits):
+        # z_down / z_up is a constant exactly when z_down is a scalar multiple of z_up
+        if z_up.is_zero or z_down.is_zero:
+            ratio_constant = z_up.is_zero and z_down.is_zero
+        else:
+            ratio_constant = z_down == z_up * (z_down.num.lead / z_up.num.lead)
         return TheoremReport(
             "C",
             "not-applicable",
-            {"reason": "a branch orbit has size > 1", "z_up": z_up, "z_down": z_down},
+            {
+                "reason": "a branch orbit has size > 1",
+                "z_up": z_up,
+                "z_down": z_down,
+                "ratio_constant": ratio_constant,
+            },
         )
     holds = z_down == z_up * setup.d
     return TheoremReport(
         "C",
         "holds" if holds else "fails",
         {"z_up": z_up, "z_down": z_down, "d": setup.d},
-    )
-
-
-def _verify_on_pathological(
-    which: str, setup: QuotientSetup, dbar: DownDivisor, wbar: DownDivisor
-) -> TheoremReport:
-    N, nu = _pathological_data(dbar, wbar)
-    z_down, z_up, graph_down = pathological_zeta(setup, N, nu)
-    s0 = -nu / N
-    # upstairs pi = id: the two branches intersect and share (N, nu)
-    up_poles = {s0: 2}
-    if which == "A":
-        top_down, mot_down = _pole_evidence(graph_down)
-        holds = set(mot_down) <= {s0} and {s for s, o in mot_down.items() if o == 2} == {s0}
-        return TheoremReport(
-            "A",
-            "holds" if holds else "fails",
-            {"motivic_up": up_poles, "motivic_down": mot_down, "pathological": True},
-        )
-    if which == "B":
-        expected = minus_branch_divisor(setup, dbar.pq)
-        if (
-            wbar.axis_x != expected.axis_x
-            or wbar.axis_y != expected.axis_y
-            or any(c != 0 for _, c in wbar.branches)
-        ):
-            return TheoremReport("B", "not-applicable", {"reason": "Wbar is not -B_rho"})
-        top_down, mot_down = _pole_evidence(graph_down)
-        holds = (
-            z_up.poles() == up_poles
-            and z_down.poles() == up_poles
-            and top_down == up_poles
-            and mot_down == up_poles
-        )
-        return TheoremReport(
-            "B",
-            "holds" if holds else "fails",
-            {"top_up": z_up.poles(), "top_down": z_down.poles(), "mot_down": mot_down},
-        )
-    # z_down / z_up is a constant exactly when z_down is a scalar multiple of z_up
-    return TheoremReport(
-        "C",
-        "not-applicable",
-        {
-            "reason": "branches form one orbit (swapped pair)",
-            "z_up": z_up,
-            "z_down": z_down,
-            "ratio_constant": z_down == z_up * (z_down.num.lead / z_up.num.lead),
-        },
     )

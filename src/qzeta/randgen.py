@@ -141,7 +141,8 @@ def random_action_spec(rng: random.Random, max_order: int = 500) -> ActionSpec:
     return ActionSpec(tuple(gens))
 
 
-def random_pathological_setup(rng: random.Random, dmax: int = 12) -> QuotientSetup:
+def random_swapped_setup(rng: random.Random, dmax: int = 12) -> QuotientSetup:
+    """X(d;a,b) with 2(b - a) = d: a (1,1) branch orbit has two members."""
     while True:
         d = 2 * rng.randint(2, dmax // 2)
         a = rng.randrange(d)

@@ -364,14 +364,6 @@ class DivisorSpec:
             self, "axis_y", (_frac(self.axis_y[0]), _frac(self.axis_y[1]))
         )
 
-    @property
-    def p(self) -> int:
-        return self.pq[0]
-
-    @property
-    def q(self) -> int:
-        return self.pq[1]
-
 
 def validate_weights(pq: tuple[int, int]) -> None:
     p, q = pq

@@ -8,7 +8,7 @@ counterexample (or a bug), never noise.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import gcd
 
@@ -23,25 +23,30 @@ from .cyclic import (
     smallify_action,
 )
 from .engraph import en_analyze, en_graph
-from .errors import AdjunctionViolation, InputError, OrderTwo, PathologicalCase, ZeroAlpha
+from .errors import AdjunctionViolation, InputError, OrderTwo, ZeroAlpha
 from .hodge import euler_specialize, hodge_zeta, s_factor
 from .quotient import (
     DownDivisor,
     build_quotient,
     minus_branch_divisor,
-    pathological_zeta,
     verify_correspondence,
     verify_theorem,
 )
 from .randgen import (
     random_action_spec,
     random_down_pair,
-    random_pathological_setup,
     random_plane_spec,
     random_setup,
+    random_swapped_setup,
 )
-from .resolution import ResolutionGraph, check_adjunction, insert_hj_chains, weighted_blowup
-from .zeta import check_alpha_condition, top_residue, ztop
+from .resolution import (
+    NumericalData,
+    ResolutionGraph,
+    check_adjunction,
+    insert_hj_chains,
+    weighted_blowup,
+)
+from .zeta import check_alpha_condition, top_residue, zeta_from_terms, ztop
 
 
 @dataclass
@@ -233,11 +238,7 @@ def _check_theorem_instance(rng: random.Random, which: str) -> list[str]:
     report = verify_theorem(which, setup, dbar, wbar)
     if report.verdict != "holds":
         problems.append(f"theorem {which} verdict {report.verdict} on {setup}")
-    try:
-        pair = build_quotient(setup, dbar, wbar)
-    except PathologicalCase:
-        # handled through the closed forms inside verify_theorem
-        return problems
+    pair = build_quotient(setup, dbar, wbar)
     corr = verify_correspondence(pair)
     if not corr["holds"]:
         problems.append("correspondence: " + "; ".join(corr["failures"][:3]))
@@ -309,23 +310,32 @@ def _veys_prediction(graph: ResolutionGraph) -> list[str]:
 
 
 def _check_sharpness_instance(rng: random.Random) -> list[str]:
+    """Two transverse branches swapped by the action, with Wbar = -B_rho on
+    the reflection axis (if any) plus nu - 1 on the branch orbit, so that
+    upstairs D = N(C1 + C2) and W = (nu - 1)(C1 + C2) carry no axis."""
     problems = []
-    setup = random_pathological_setup(rng)
+    setup = random_swapped_setup(rng)
     N = rng.choice([Fraction(1), Fraction(2), Fraction(3), Fraction(1, 2)])
     nu = rng.choice([Fraction(1), Fraction(2), Fraction(3, 2), Fraction(1, 2)])
-    down, up, graph_down = pathological_zeta(setup, N, nu)
-    # the closed forms against the resolution downstairs and, upstairs,
-    # against 1/(Ns + nu)^2 at its pole and at s = 1
-    if down != ztop(graph_down):
-        problems.append("pathological closed form mismatch")
-    if up.poles() != {-nu / N: 2} or up.eval(1) != 1 / (N + nu) ** 2:
-        problems.append("pathological upstairs zeta mismatch")
     dbar = DownDivisor(pq=(1, 1), branches=(("c", N),))
-    wbar = DownDivisor(pq=(1, 1), branches=(("c", nu - 1),))
+    wbar = replace(minus_branch_divisor(setup, (1, 1)), branches=(("c", nu - 1),))
+    pair = build_quotient(setup, dbar, wbar)
+    # the general route against the closed forms: upstairs 1/(Ns + nu)^2 at
+    # its pole and at s = 1, downstairs (3d/4)/(Ns + nu) + (d/4)/(Ns + nu)^2
+    up, down = ztop(pair.graph_up), ztop(pair.graph_down)
+    if up.poles() != {-nu / N: 2} or up.eval(1) != 1 / (N + nu) ** 2:
+        problems.append("swapped pair: upstairs zeta is not 1/(Ns + nu)^2")
+    data = NumericalData(N, nu)
+    d = setup.d
+    if down != zeta_from_terms([(Fraction(3 * d, 4), (data,)), (Fraction(d, 4), (data, data))]):
+        problems.append("swapped pair: downstairs zeta differs from the closed form")
+    corr = verify_correspondence(pair)
+    if not corr["holds"]:
+        problems.append("correspondence: " + "; ".join(corr["failures"][:3]))
     repC = verify_theorem("C", setup, dbar, wbar)
     if repC.verdict != "not-applicable":
         problems.append(f"theorem C verdict {repC.verdict} on a swapped pair")
-    if repC.evidence.get("ratio_constant"):
+    if repC.evidence.get("ratio_constant") is not False:
         problems.append("ratio unexpectedly constant on a swapped pair")
     repA = verify_theorem("A", setup, dbar, wbar)
     if repA.verdict != "holds":

@@ -8,15 +8,16 @@ backs ``qzeta verify``.
 
 from fractions import Fraction
 
+from quotient_oracle import swapped_pair_divisors, swapped_pair_zeta
 from ratfunc_oracle import ratfunc
 
 from qzeta import (
     DownDivisor,
     Poly,
     QuotientSetup,
+    build_quotient,
     classify_poles,
     hodge_residue,
-    pathological_zeta,
     verify_theorem,
     ztop,
 )
@@ -55,15 +56,18 @@ def test_criterion_3_swapped_branch_closed_forms():
         setup = QuotientSetup(d, 1, d // 2 + 1)
         for N in (1, 2, 3):
             for nu in (Fraction(1), Fraction(2), Fraction(3, 2)):
-                down, up, _ = pathological_zeta(setup, N, nu)
+                down, up, _ = swapped_pair_zeta(setup, N, nu)
                 form = lin(nu, N)
                 assert down == ratfunc(
                     Poly.const(Fraction(d, 4)) * lin(3 * nu + 1, 3 * N), form * form
                 )
                 assert up == ratfunc(Poly.const(1), form * form)
+                # the general quotient resolves the same pair on both levels
+                pair = build_quotient(setup, *swapped_pair_divisors(setup, N, nu))
+                assert (ztop(pair.graph_down), ztop(pair.graph_up)) == (down, up)
     d4 = QuotientSetup(4, 1, 3)
     for N in (1, 2, 3):
-        down, up, _ = pathological_zeta(d4, N, 1)
+        down, up, _ = swapped_pair_zeta(d4, N, 1)
         assert down == ratfunc(lin(4, 3 * N), lin(1, N) * lin(1, N))
         assert up == ratfunc(Poly.const(1), lin(1, N) * lin(1, N))
     print("PASS criterion 3: swapped-branch closed forms exact for d in {4..12}, N in {1,2,3}")

@@ -72,16 +72,37 @@ def test_zeta_normal_crossing_quotient(tmp_path, capsys):
     assert "2/(s+1)" in capsys.readouterr().out
 
 
+SWAPPED = {
+    "schema": "qres-instance/1",
+    "surface": {"kind": "cyclic_quotient", "d": 4, "a": 1, "b": 3},
+    "mode": "weighted_homogeneous",
+    "divisor": {"pq": [1, 1], "branches": [{"label": "c", "N": "1", "w": "0"}]},
+}
+
+
 def test_zeta_swapped_pair(tmp_path, capsys):
-    doc = {
-        "schema": "qres-instance/1",
-        "surface": {"kind": "cyclic_quotient", "d": 4, "a": 1, "b": 3},
-        "mode": "weighted_homogeneous",
-        "divisor": {"pq": [1, 1], "branches": [{"label": "c", "N": "1", "w": "0"}]},
-    }
-    path = write_instance(tmp_path, "sp.json", doc)
+    path = write_instance(tmp_path, "sp.json", SWAPPED)
     assert main(["zeta", "--input", path]) == 0
     assert "(3s+4)/(s+1)^2" in capsys.readouterr().out
+
+
+def test_quotient_command_swapped_pair(tmp_path, capsys):
+    path = write_instance(tmp_path, "sp.json", SWAPPED)
+    out_dir = tmp_path / "sp"
+    assert main(["quotient", "--input", path, "--out", str(out_dir)]) == 0
+    out = capsys.readouterr().out
+    assert "correspondence holds" in out
+    assert "theorem A: holds" in out and "theorem C: not-applicable" in out
+    payload = json.loads((out_dir / "quotient.json").read_text())
+    assert payload["correspondence"]["rupture_down"]
+    (thm_c,) = [t for t in payload["theorems"] if t["theorem"] == "C"]
+    assert thm_c["evidence"]["ratio_constant"] is False
+
+
+def test_resolve_swapped_pair(tmp_path, capsys):
+    path = write_instance(tmp_path, "sp.json", SWAPPED)
+    assert main(["resolve", "--input", path]) == 0
+    assert "point pt_c" in capsys.readouterr().out
 
 
 def test_resolve_roundtrip_explicit_graph(tmp_path, capsys):

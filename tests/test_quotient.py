@@ -1,8 +1,10 @@
 import time
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
 import pytest
+from quotient_oracle import swapped_pair_divisors, swapped_pair_zeta, swapped_setups
 from ratfunc_oracle import ratfunc
 
 from qzeta import (
@@ -11,17 +13,17 @@ from qzeta import (
     QuotientSetup,
     branch_orbit_analysis,
     build_quotient,
+    classify_poles,
     exceptional_ramification,
     lift_pair,
     minus_branch_divisor,
-    pathological_zeta,
     verify_correspondence,
     verify_theorem,
     ztop,
 )
-from qzeta.errors import InputError, MixedOrbitMultiplicity, NotPathological, PathologicalCase
+from qzeta.errors import InputError, MixedOrbitMultiplicity
 from qzeta.quotient import orbit_size
-from qzeta.resolution import BranchEntry, CClass, DivisorSpec
+from qzeta.resolution import BranchEntry, CClass, DivisorSpec, NumericalData
 
 
 def lin(nu, N):
@@ -72,7 +74,6 @@ def test_branch_orbit_analysis_swap(setup_mu2):
     out = branch_orbit_analysis(setup_mu2, spec)
     assert out.size == 2 and len(out.orbits) == 1
     assert out.orbits[0].members == ("c.0", "c.1")
-    assert not out.pathological
 
 
 def test_branch_orbit_invariant_when_congruent():
@@ -81,13 +82,6 @@ def test_branch_orbit_invariant_when_congruent():
     spec = lift_pair(setup, DownDivisor(pq=(1, 2), branches=(("c", 1),)), DownDivisor(pq=(1, 2)))
     out = branch_orbit_analysis(setup, spec)
     assert all(o.invariant for o in out.orbits)
-
-
-def test_branch_orbit_pathological_flag():
-    setup = QuotientSetup(4, 1, 3)
-    spec = lift_pair(setup, DownDivisor(pq=(1, 1), branches=(("c", 1),)), DownDivisor(pq=(1, 1)))
-    out = branch_orbit_analysis(setup, spec)
-    assert out.pathological
 
 
 def test_branch_orbit_mixed_multiplicities_rejected(setup_mu2):
@@ -226,32 +220,61 @@ def test_pathological_zeta_closed_forms():
     for d in (4, 6, 8, 10, 12):
         setup = QuotientSetup(d, 1, d // 2 + 1)
         for N in (1, 2, 3):
-            down, up, graph = pathological_zeta(setup, N, 1)
+            down, up, graph = swapped_pair_zeta(setup, N, 1)
             form = lin(1, N)
             assert up == ratfunc(Poly.const(1), form * form)
             assert down == ratfunc(Poly.const(Fraction(d, 4)) * lin(4, 3 * N), form * form)
-        down, _, _ = pathological_zeta(setup, 2, Fraction(3, 2))
+        down, _, _ = swapped_pair_zeta(setup, 2, Fraction(3, 2))
         form = lin(Fraction(3, 2), 2)
         assert down == ratfunc(
             Poly.const(Fraction(d, 4)) * lin(Fraction(11, 2), 6), form * form
         )
 
 
-def test_pathological_rejects_other_setups():
-    with pytest.raises(NotPathological):
-        pathological_zeta(QuotientSetup(5, 1, 2), 1, 1)
-    with pytest.raises(NotPathological):
-        pathological_zeta(QuotientSetup(4, 1, 3), 0, 1)
+def _swapped_pair(setup, N, nu):
+    return build_quotient(setup, *swapped_pair_divisors(setup, N, nu))
 
 
-def test_build_quotient_routes_pathological():
+def test_swapped_pairs_match_the_oracle():
+    # every swapped setup with d <= 12: 10 small and 12 non-small, 16 (N, nu) each
+    setups = swapped_setups(12)
+    assert (len(setups), sum(s.is_small for s in setups)) == (22, 10)
+    for setup in setups:
+        for N in (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3)):
+            for nu in (Fraction(1), Fraction(2), Fraction(3, 2), Fraction(1, 2)):
+                down, up, graph = swapped_pair_zeta(setup, N, nu)
+                pair = _swapped_pair(setup, N, nu)
+                assert ztop(pair.graph_up) == up
+                assert ztop(pair.graph_down) == down
+                motivic = classify_poles(pair.graph_down).motivic_poles()
+                assert motivic == classify_poles(graph).motivic_poles()
+                assert verify_correspondence(pair)["holds"]
+
+
+def test_build_quotient_swapped_pair():
     setup = QuotientSetup(4, 1, 3)
-    with pytest.raises(PathologicalCase):
-        build_quotient(
-            setup,
-            DownDivisor(pq=(1, 1), branches=(("c", Fraction(1)),)),
-            DownDivisor(pq=(1, 1)),
-        )
+    pair = _swapped_pair(setup, 1, 1)
+    assert [o.members for o in pair.analysis.orbits] == [("c.0", "c.1")]
+    assert {p.id: p.order for p in pair.graph_down.points} == {"U": 2, "V": 2, "pt_c": 1}
+    out = verify_correspondence(pair)
+    # Ebar is a rupture component and E is not: its pole -1 has order two
+    # upstairs, where the two strict transforms meet
+    assert out["holds"] and out["rupture_down"] and not out["rupture_up"]
+    assert classify_poles(pair.graph_up).motivic_poles() == {Fraction(-1): 2}
+
+
+def test_rupture_row_needs_a_motivic_pole_upstairs():
+    # Ebar made a rupture component at s0 = -3, which is no pole upstairs
+    pair = _swapped_pair(QuotientSetup(4, 1, 3), 1, 1)
+    down = pair.graph_down
+    comps = tuple(
+        replace(c, data=NumericalData(1, 3)) if c.id == "E" else c for c in down.components
+    )
+    doctored = replace(pair, graph_down=replace(down, components=comps))
+    assert Fraction(-3) not in classify_poles(pair.graph_up).motivic_poles()
+    out = verify_correspondence(doctored)
+    assert out["rupture_down"] and not out["rupture_up"]
+    assert "rupture component downstairs at -3, no motivic pole upstairs" in out["failures"]
 
 
 def test_verify_theorem_a_strict_containment(setup_mu2):
@@ -263,6 +286,23 @@ def test_verify_theorem_a_strict_containment(setup_mu2):
     )
     assert rep.verdict == "holds"
     assert set(rep.evidence["motivic_down"]) < set(rep.evidence["motivic_up"])
+    # top_up is not contained in top_down: -7/6 is a pole upstairs only
+    assert Fraction(-7, 6) in rep.evidence["top_up"]
+    assert Fraction(-7, 6) not in rep.evidence["top_down"]
+
+
+def test_verify_theorem_a_downstairs_topological_pole_not_upstairs():
+    # top_down is not contained in top_up: upstairs E is a rupture component
+    # at -8/5 with residue 0, downstairs -8/5 is a simple topological pole
+    rep = verify_theorem(
+        "A",
+        QuotientSetup(2, 1, 1),
+        DownDivisor(pq=(2, 1), axis_y=Fraction(1), branches=(("c", Fraction(1)),)),
+        DownDivisor(pq=(2, 1), axis_x=Fraction(2), axis_y=Fraction(1)),
+    )
+    assert rep.verdict == "holds"
+    assert set(rep.evidence["top_up"]) == {Fraction(-1), Fraction(-2)}
+    assert set(rep.evidence["top_down"]) == {Fraction(-1), Fraction(-8, 5), Fraction(-2)}
 
 
 def test_verify_theorem_b_w0_variant(setup_mu2):

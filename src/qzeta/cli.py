@@ -18,7 +18,7 @@ from pathlib import Path
 from .engraph import en_graph, en_to_dot
 from .errors import InputError, QzetaError
 from .instances import Instance, load_instance
-from .quotient import build_quotient, lift_pair, verify_correspondence, verify_theorem
+from .quotient import build_quotient, compare_levels, lift_pair, verify_correspondence
 from .cyclic import PLANE
 from .resolution import NumericalData, insert_hj_chains, weighted_blowup
 from .serialize import (
@@ -185,17 +185,17 @@ def cmd_quotient(args) -> int:
         raise InputError("quotient command requires a cyclic_quotient surface")
     if inst.mode != "weighted_homogeneous":
         raise InputError("quotient command requires a weighted_homogeneous divisor")
-    dbar, wbar = inst.down_pair
-    setup = inst.surface
-    reports = [verify_theorem(which, setup, dbar, wbar) for which in ("A", "B", "C")]
-    pair = build_quotient(setup, dbar, wbar)
+    _, pair = _instance_graphs(inst)
+    reports = [compare_levels(pair, which) for which in ("A", "B", "C")]
     corr = verify_correspondence(pair)
+    setup = pair.setup
     print(
         f"quotient X({setup.d};{setup.a},{setup.b}): correspondence "
         + ("holds" if corr["holds"] else "FAILS")
     )
-    print(f"Ztop upstairs   = {ztop(pair.graph_up).render()}")
-    print(f"Ztop downstairs = {ztop(pair.graph_down).render()}")
+    # Theorem C records both levels' Ztop whatever its verdict
+    print(f"Ztop upstairs   = {reports[2].evidence['z_up'].render()}")
+    print(f"Ztop downstairs = {reports[2].evidence['z_down'].render()}")
     if "quotient" in emits:
         payload = quotient_pair_to_json(pair)
         payload["correspondence"] = corr

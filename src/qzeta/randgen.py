@@ -7,7 +7,7 @@ from fractions import Fraction
 from math import gcd
 
 from .cyclic import ActionSpec
-from .quotient import DownDivisor, QuotientSetup, minus_branch_divisor, orbit_size
+from .quotient import DownDivisor, QuotientSetup, minus_branch_divisor, orbit_size, orbit_step
 from .resolution import BranchEntry, CClass, DivisorSpec
 
 N_POOL = [Fraction(x) for x in (1, 2, 3, 4)] + [Fraction(1, 2), Fraction(3, 2), Fraction(5, 2)]
@@ -89,7 +89,7 @@ def _invariant_pq(rng: random.Random, setup: QuotientSetup) -> tuple[int, int] |
         (p, q)
         for p in range(1, 7)
         for q in range(1, 7)
-        if gcd(p, q) == 1 and (p * setup.b - q * setup.a) % setup.d == 0
+        if gcd(p, q) == 1 and orbit_step(setup, (p, q)) == 0
     ]
     return rng.choice(pairs) if pairs else None
 

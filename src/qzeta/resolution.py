@@ -414,10 +414,10 @@ def weighted_blowup(ambient: CyclicType, spec: DivisorSpec) -> ResolutionGraph:
     """
     validate_divisor(spec)
     if ambient.m != 1:
-        from .quotient import QuotientSetup, build_quotient_from_spec
+        from .quotient import QuotientSetup, build_quotient, split_down_spec
 
         setup = QuotientSetup(ambient.m, ambient.a, ambient.b)
-        return build_quotient_from_spec(setup, spec).graph_down
+        return build_quotient(setup, *split_down_spec(spec)).graph_down
     p, q = spec.pq
     (N_x, w_x), (N_y, w_y) = spec.axis_x, spec.axis_y
     N_E = p * q * sum((b.N for b in spec.branches), Fraction(0)) + p * N_x + q * N_y

@@ -28,9 +28,9 @@ from .hodge import euler_specialize, hodge_zeta, s_factor
 from .quotient import (
     DownDivisor,
     build_quotient,
+    compare_levels,
     minus_branch_divisor,
     verify_correspondence,
-    verify_theorem,
 )
 from .randgen import (
     random_action_spec,
@@ -235,10 +235,10 @@ def _check_theorem_instance(rng: random.Random, which: str) -> list[str]:
     dbar, wbar = random_down_pair(
         rng, setup, wbar_mode=mode, invariant_only=(which == "C")
     )
-    report = verify_theorem(which, setup, dbar, wbar)
+    pair = build_quotient(setup, dbar, wbar)
+    report = compare_levels(pair, which)
     if report.verdict != "holds":
         problems.append(f"theorem {which} verdict {report.verdict} on {setup}")
-    pair = build_quotient(setup, dbar, wbar)
     corr = verify_correspondence(pair)
     if not corr["holds"]:
         problems.append("correspondence: " + "; ".join(corr["failures"][:3]))
@@ -320,9 +320,10 @@ def _check_sharpness_instance(rng: random.Random) -> list[str]:
     dbar = DownDivisor(pq=(1, 1), branches=(("c", N),))
     wbar = replace(minus_branch_divisor(setup, (1, 1)), branches=(("c", nu - 1),))
     pair = build_quotient(setup, dbar, wbar)
+    repC = compare_levels(pair, "C")
     # the general route against the closed forms: upstairs 1/(Ns + nu)^2 at
     # its pole and at s = 1, downstairs (3d/4)/(Ns + nu) + (d/4)/(Ns + nu)^2
-    up, down = ztop(pair.graph_up), ztop(pair.graph_down)
+    up, down = repC.evidence["z_up"], repC.evidence["z_down"]
     if up.poles() != {-nu / N: 2} or up.eval(1) != 1 / (N + nu) ** 2:
         problems.append("swapped pair: upstairs zeta is not 1/(Ns + nu)^2")
     data = NumericalData(N, nu)
@@ -332,18 +333,16 @@ def _check_sharpness_instance(rng: random.Random) -> list[str]:
     corr = verify_correspondence(pair)
     if not corr["holds"]:
         problems.append("correspondence: " + "; ".join(corr["failures"][:3]))
-    repC = verify_theorem("C", setup, dbar, wbar)
     if repC.verdict != "not-applicable":
         problems.append(f"theorem C verdict {repC.verdict} on a swapped pair")
     if repC.evidence.get("ratio_constant") is not False:
         problems.append("ratio unexpectedly constant on a swapped pair")
-    repA = verify_theorem("A", setup, dbar, wbar)
-    if repA.verdict != "holds":
+    if compare_levels(pair, "A").verdict != "holds":
         problems.append("theorem A fails on a swapped pair")
-    if setup.is_small and nu == 1:
-        repB = verify_theorem("B", setup, dbar, minus_branch_divisor(setup, (1, 1)))
-        if repB.verdict != "holds":
-            problems.append("theorem B fails on a small swapped pair with W = 0")
+    # W upstairs is (nu - 1)(C1 + C2): Theorem B applies exactly when nu = 1
+    repB = compare_levels(pair, "B")
+    if repB.verdict != ("holds" if nu == 1 else "not-applicable"):
+        problems.append(f"theorem B verdict {repB.verdict} on a swapped pair, nu = {nu}")
     return problems
 
 

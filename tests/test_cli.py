@@ -157,6 +157,32 @@ def test_bad_json_reports_line(tmp_path, capsys):
     assert ":2:" in err
 
 
+def test_one_build_per_quotient_pair(tmp_path, monkeypatch, capsys):
+    # the CLI and the theorem batches compare the two levels of one built pair
+    import qzeta.cli
+    import qzeta.quotient
+    import qzeta.verify
+    from qzeta.verify import run_family
+
+    builds = []
+    build = qzeta.quotient.build_quotient
+
+    def counting(*args):
+        builds.append(args)
+        return build(*args)
+
+    for module in (qzeta.quotient, qzeta.cli, qzeta.verify):
+        monkeypatch.setattr(module, "build_quotient", counting)
+    path = write_instance(tmp_path, "sp.json", SWAPPED)
+    assert main(["quotient", "--input", path]) == 0
+    assert len(builds) == 1
+    capsys.readouterr()
+    for family in ("theoremA", "theoremC-sharpness"):
+        builds.clear()
+        assert run_family(family, 7, 6).passed == 6
+        assert len(builds) == 6
+
+
 def test_quotient_command(tmp_path, capsys):
     path = write_instance(tmp_path, "q.json", QUOT_46)
     out_dir = tmp_path / "qq"

@@ -240,10 +240,10 @@ def test_library_paths_run_no_enumeration(monkeypatch):
         QuotientSetup,
         build_quotient,
         classify_poles,
+        compare_levels,
         hodge_residue,
         minus_branch_divisor,
         top_residue,
-        verify_theorem,
         weighted_blowup,
     )
     from qzeta.errors import OrderTwo, ZeroAlpha
@@ -261,7 +261,7 @@ def test_library_paths_run_no_enumeration(monkeypatch):
                             (minus_branch_divisor(setup, (3, 2)), True)):
         pair = build_quotient(setup, dbar, wbar)
         graphs += [pair.graph_up, pair.graph_down]
-        verdicts = [verify_theorem(which, setup, dbar, wbar).verdict for which in "ABC"]
+        verdicts = [compare_levels(pair, which).verdict for which in "ABC"]
         assert verdicts == ["holds", "holds" if b_applies else "not-applicable", "holds"]
     for g in graphs:
         classify_poles(g)

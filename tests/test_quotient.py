@@ -1,3 +1,4 @@
+import random
 import time
 from dataclasses import replace
 from fractions import Fraction
@@ -14,6 +15,7 @@ from qzeta import (
     branch_orbit_analysis,
     build_quotient,
     classify_poles,
+    compare_levels,
     exceptional_ramification,
     lift_pair,
     minus_branch_divisor,
@@ -23,6 +25,7 @@ from qzeta import (
 )
 from qzeta.errors import InputError, MixedOrbitMultiplicity
 from qzeta.quotient import orbit_size
+from qzeta.randgen import random_down_pair, random_setup
 from qzeta.resolution import BranchEntry, CClass, DivisorSpec, NumericalData
 
 
@@ -55,6 +58,23 @@ def test_lift_minus_branch_divisor_cancels_ramification():
     )
     # W = rho*(-B_rho) + Ram_rho = 0
     assert spec.axis_x == (3, 0) and spec.axis_y == (0, 0)
+    # and only then: the lifted W vanishes exactly when Wbar = -B_rho,
+    # which is how Theorem B reads its hypothesis off a built pair
+    rng = random.Random(17)
+    seen = set()
+    for mode in ("general", "minus_branch"):
+        for _ in range(150):
+            setup = random_setup(rng)
+            dbar, wbar = random_down_pair(rng, setup, wbar_mode=mode)
+            minus = minus_branch_divisor(setup, dbar.pq)
+            is_minus = (wbar.axis_x, wbar.axis_y) == (minus.axis_x, minus.axis_y) and not any(
+                c for _, c in wbar.branches
+            )
+            spec = lift_pair(setup, dbar, wbar)
+            w_zero = spec.axis_x[1] == spec.axis_y[1] == 0 and not any(b.w for b in spec.branches)
+            assert w_zero == is_minus, (setup, dbar, wbar)
+            seen.add(w_zero)
+    assert seen == {True, False}
 
 
 def test_lift_adds_ramification_to_w():
@@ -324,6 +344,16 @@ def test_verify_theorem_b_rejects_other_w(setup_mu2):
         DownDivisor(pq=(3, 2), axis_x=Fraction(3)),
     )
     assert rep.verdict == "not-applicable"
+    # -B_rho on both axes is not enough: a branch coefficient of Wbar
+    # survives in W upstairs
+    setup = QuotientSetup(6, 2, 3)  # e1 = 3, e2 = 2
+    dbar = DownDivisor(pq=(1, 1), branches=(("c", Fraction(1)),))
+    wbar = replace(minus_branch_divisor(setup, (1, 1)), branches=(("c", Fraction(1, 2)),))
+    pair = build_quotient(setup, dbar, wbar)
+    assert pair.spec_up.axis_x[1] == pair.spec_up.axis_y[1] == 0
+    assert compare_levels(pair, "B").verdict == "not-applicable"
+    wbar0 = replace(wbar, branches=(("c", Fraction(0)),))
+    assert verify_theorem("B", setup, dbar, wbar0).verdict == "holds"
 
 
 def test_verify_theorem_c_invariant_and_sharp():

@@ -29,7 +29,7 @@ from .serialize import (
     theorem_report_to_json,
 )
 from .verify import FAMILIES, run_family
-from .zeta import classify_poles, ztop, ztop_nc_quotient
+from .zeta import classify_poles, ztop_nc_quotient
 
 ALL_EMITS = ("graph", "zeta", "poles", "quotient", "dot")
 
@@ -146,7 +146,8 @@ def cmd_zeta(args) -> int:
     emits = _emits(args)
     inst = load_instance(args.input)
     graph, pair = _instance_graphs(inst)
-    z = ztop(graph)
+    report = classify_poles(graph)
+    z = report.ztop
     if (
         inst.is_quotient
         and inst.mode == "weighted_homogeneous"
@@ -161,7 +162,6 @@ def cmd_zeta(args) -> int:
         )
         if lemma != z:
             raise QzetaError("normal-crossing formula disagrees with the resolution")
-    report = classify_poles(graph)
     print(f"Ztop = {z.render()}")
     for e in report.entries:
         res = f", residue {frac_to_str(e.residue)}" if e.residue is not None else ""
@@ -193,9 +193,8 @@ def cmd_quotient(args) -> int:
         f"quotient X({setup.d};{setup.a},{setup.b}): correspondence "
         + ("holds" if corr["holds"] else "FAILS")
     )
-    # Theorem C records both levels' Ztop whatever its verdict
-    print(f"Ztop upstairs   = {reports[2].evidence['z_up'].render()}")
-    print(f"Ztop downstairs = {reports[2].evidence['z_down'].render()}")
+    print(f"Ztop upstairs   = {pair.report_up.ztop.render()}")
+    print(f"Ztop downstairs = {pair.report_down.ztop.render()}")
     if "quotient" in emits:
         payload = quotient_pair_to_json(pair)
         payload["correspondence"] = corr

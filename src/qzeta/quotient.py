@@ -11,14 +11,17 @@ every pairing for the proportionality checks (N,nu) = e (Nbar,nubar),
 alpha = n alphabar and d m = r e1 e2 mbar.  Every pair takes this one
 route, including two transverse branches swapped by the action, whose
 downstairs total transform is not Q-normal crossing before the blow-up.
-Each pair is built once; ``compare_levels`` checks Theorems A, B and C on
-its two levels, B when W is trivial upstairs (Wbar = -B_rho).
+Each pair is built once, and each of its levels gets one pole report,
+computed on first use, which keeps that level's Ztop; ``compare_levels``
+checks Theorems A, B and C on those two reports, B when W is trivial
+upstairs (Wbar = -B_rho).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 from .cyclic import PLANE, CyclicType, smallify_action
@@ -43,7 +46,7 @@ from .resolution import (
     validate_weights,
     weighted_blowup,
 )
-from .zeta import classify_poles, rupture_components, ztop
+from .zeta import classify_poles, rupture_components
 
 
 def _frac(x) -> Fraction:
@@ -278,6 +281,10 @@ class QuotientPair:
     table: CorrespondenceTable
     analysis: OrbitAnalysis
 
+    # each level's PoleReport, which keeps its Ztop, is computed on first use
+    report_up = cached_property(lambda self: classify_poles(self.graph_up))
+    report_down = cached_property(lambda self: classify_poles(self.graph_down))
+
 
 def _scaled_component(comp: Component, e: int, kind: str | None = None) -> Component:
     return replace(
@@ -509,7 +516,7 @@ def verify_correspondence(pair: QuotientPair) -> dict:
     down_rupture = "E" in rupture_components(down)
     if down_rupture and not up_rupture:
         s0 = -down.component("E").data.ratio
-        if s0 not in classify_poles(up).motivic_poles():
+        if s0 not in pair.report_up.motivic_poles():
             failures.append(f"rupture component downstairs at {s0}, no motivic pole upstairs")
     degree = d // table.e_exc
     if up_rupture and not down_rupture and degree > 1:
@@ -536,20 +543,19 @@ class TheoremReport:
     evidence: dict
 
 
-def _pole_evidence(graph: ResolutionGraph) -> tuple[dict, dict]:
-    report = classify_poles(graph)
-    return report.top_poles(), report.motivic_poles()
-
-
 def compare_levels(pair: QuotientPair, which: str) -> TheoremReport:
     """Check Theorem A (motivic containment), B (pole equality when W is
     trivial upstairs, that is Wbar = -B_rho) or C (exact d-scaling for
     invariant components) on the two levels of a built pair."""
     if which not in ("A", "B", "C"):
         raise InputError(f"unknown theorem {which!r}")
+    # W = rho* Wbar + Ram_rho vanishes exactly when Wbar = -B_rho
+    spec = pair.spec_up
+    if which == "B" and (spec.axis_x[1] or spec.axis_y[1] or any(b.w for b in spec.branches)):
+        return TheoremReport("B", "not-applicable", {"reason": "Wbar is not -B_rho"})
+    up, down = pair.report_up, pair.report_down
     if which == "A":
-        top_up, mot_up = _pole_evidence(pair.graph_up)
-        top_down, mot_down = _pole_evidence(pair.graph_down)
+        mot_up, mot_down = up.motivic_poles(), down.motivic_poles()
         contained = set(mot_down) <= set(mot_up)
         two_up = {s for s, o in mot_up.items() if o == 2}
         two_down = {s for s, o in mot_down.items() if o == 2}
@@ -560,22 +566,16 @@ def compare_levels(pair: QuotientPair, which: str) -> TheoremReport:
             {
                 "motivic_up": mot_up,
                 "motivic_down": mot_down,
-                "top_up": top_up,
-                "top_down": top_down,
+                "top_up": up.top_poles(),
+                "top_down": down.top_poles(),
                 "containment": contained,
                 "order_two_equal": two_up == two_down,
             },
         )
 
     if which == "B":
-        # W = rho* Wbar + Ram_rho vanishes exactly when Wbar = -B_rho
-        spec = pair.spec_up
-        if spec.axis_x[1] or spec.axis_y[1] or any(b.w for b in spec.branches):
-            return TheoremReport(
-                "B", "not-applicable", {"reason": "Wbar is not -B_rho"}
-            )
-        top_up, mot_up = _pole_evidence(pair.graph_up)
-        top_down, mot_down = _pole_evidence(pair.graph_down)
+        top_up, mot_up = up.top_poles(), up.motivic_poles()
+        top_down, mot_down = down.top_poles(), down.motivic_poles()
         holds = top_up == mot_up == top_down == mot_down
         return TheoremReport(
             "B",
@@ -588,16 +588,15 @@ def compare_levels(pair: QuotientPair, which: str) -> TheoremReport:
             },
         )
 
-    # Theorem C; the ratio z_down / z_up need not split over Q, so the
-    # evidence records both sides
-    z_up = ztop(pair.graph_up)
-    z_down = ztop(pair.graph_down)
+    # Theorem C, on the Ztop each report keeps; the ratio z_down / z_up need
+    # not split over Q, so the evidence records both sides
+    z_up, z_down = up.ztop, down.ztop
     if not all(o.invariant for o in pair.analysis.orbits):
         # z_down / z_up is a constant exactly when z_down is a scalar multiple of z_up
         if z_up.is_zero or z_down.is_zero:
             ratio_constant = z_up.is_zero and z_down.is_zero
         else:
-            ratio_constant = z_down == z_up * (z_down.num.lead / z_up.num.lead)
+            ratio_constant = z_down == z_up * (z_down.lead / z_up.lead)
         return TheoremReport(
             "C",
             "not-applicable",

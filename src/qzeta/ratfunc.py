@@ -6,9 +6,11 @@ Every ``RatFunc`` is built from its partial fractions at known roots by
 P / prod (s - a)^m at roots already known, by a Taylor shift at each root,
 so neither a polynomial gcd nor root finding is ever needed.  Both
 directions work on coefficient lists with Horner division by s - a;
-``Poly`` stays the value type they take and return.  The result keeps its
-partial fractions: ``poles`` reads the orders off them, ``residue`` the
-coefficient of 1/(s - s0), and ``render`` the factored denominator.
+``Poly`` stays the value type they take and return.  A ``RatFunc`` is its
+partial fractions and nothing else: equality, hashing, evaluation and
+scaling read them, ``poles`` reads the orders off them and ``residue`` the
+coefficient of 1/(s - s0).  Only ``render`` and oracles multiply them back
+out into ``num``/``den``, once per value.
 """
 
 from __future__ import annotations
@@ -157,15 +159,16 @@ class Poly:
 
 
 class RatFunc:
-    """Reduced P/Q with monic Q, built from its partial fractions.
+    """A rational function held as its partial fractions.
 
-    ``den`` is the product of (s - s0)^order over the poles and ``num``
-    vanishes at none of them, so ``num``/``den`` is the canonical state;
-    ``_parts`` maps each pole s0 to its trimmed coefficients (c1, ..., cm)
-    of 1/(s - s0)^k, m being the order.
+    The state is the polynomial part and ``_parts``, which maps each pole s0
+    to its trimmed coefficients (c1, ..., cm) of 1/(s - s0)^k, m being the
+    order and cm != 0.  The split is unique, so ``==``, ``hash``,
+    ``is_zero``, ``eval`` and scaling read this state alone.  ``num`` and
+    ``den``, the reduced P/Q with monic Q, are multiplied out on first use.
     """
 
-    __slots__ = ("num", "den", "_parts")
+    __slots__ = ("_poly", "_parts", "_expanded")
 
     @classmethod
     def from_partial_fractions(cls, const, parts) -> "RatFunc":
@@ -173,8 +176,7 @@ class RatFunc:
 
         ``const`` is a number or the polynomial part as a ``Poly``;
         ``parts`` maps each s0 to (c1, ..., cm).  Trailing zero coefficients
-        are trimmed, so every kept s0 is a pole of order m with cm != 0 and
-        the result is reduced without a gcd.
+        are trimmed, so every kept s0 is a pole of order m with cm != 0.
         """
         trimmed = {}
         for s0, cs in parts.items():
@@ -183,21 +185,9 @@ class RatFunc:
                 cs.pop()
             if cs:
                 trimmed[_frac(s0)] = cs
-        den = _monic_product({s0: len(cs) for s0, cs in trimmed.items()})
-        head = const.coeffs if isinstance(const, Poly) else (_frac(const),)
-        num = [Fraction(0)] * (len(den) + max(len(head), 1) - 1)
-        for i, c in enumerate(head):
-            if c:
-                for j, d in enumerate(den):
-                    num[i + j] += c * d
-        for s0, cs in trimmed.items():
-            cof = den
-            for c in cs:
-                cof = _horner(cof, s0)[0]
-                for i, x in enumerate(cof):
-                    num[i] += c * x
         self = cls.__new__(cls)
-        self.num, self.den, self._parts = Poly(num), Poly(den), trimmed
+        self._poly = const if isinstance(const, Poly) else Poly((const,))
+        self._parts, self._expanded = trimmed, None
         return self
 
     @classmethod
@@ -210,34 +200,63 @@ class RatFunc:
 
     @property
     def is_zero(self) -> bool:
-        return self.num.is_zero
+        return self._poly.is_zero and not self._parts
+
+    @property
+    def lead(self) -> Fraction:
+        """cm at the largest pole, else the polynomial part's lead: it scales with z."""
+        if self._parts:
+            return self._parts[max(self._parts)][-1]
+        return self._poly.lead
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = RatFunc.const(other)
-        return isinstance(other, RatFunc) and self.num == other.num and self.den == other.den
+        if not isinstance(other, RatFunc):
+            return False
+        return self._poly == other._poly and self._parts == other._parts
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash((self._poly, frozenset((s0, tuple(cs)) for s0, cs in self._parts.items())))
 
     def __mul__(self, c):
         """The product with a rational scalar c."""
         if not isinstance(c, (int, Fraction)):
             return NotImplemented
-        if c == 0:
-            return RatFunc.zero()
-        out = RatFunc.__new__(RatFunc)
-        out.num, out.den = self.num * c, self.den
-        out._parts = {s0: [x * c for x in cs] for s0, cs in self._parts.items()}
-        return out
+        return RatFunc.from_partial_fractions(
+            self._poly * c, {s0: [x * c for x in cs] for s0, cs in self._parts.items()}
+        )
 
     __rmul__ = __mul__
 
     def eval(self, x) -> Fraction:
-        d = self.den.eval(x)
-        if d == 0:
+        x = _frac(x)
+        if x in self._parts:
             raise ZeroDivisionError(f"pole at {x}")
-        return self.num.eval(x) / d
+        return self._poly.eval(x) + sum(
+            c / (x - s0) ** k for s0, cs in self._parts.items() for k, c in enumerate(cs, 1)
+        )
+
+    num = property(lambda self: self._multiply_out()[0])
+    den = property(lambda self: self._multiply_out()[1])
+
+    def _multiply_out(self) -> tuple[Poly, Poly]:
+        """(num, den): den is the product of (s - s0)^order over the poles
+        and num vanishes at none of them, so num/den is reduced."""
+        if self._expanded is None:
+            den = _monic_product({s0: len(cs) for s0, cs in self._parts.items()})
+            num = [Fraction(0)] * (len(den) + max(len(self._poly.coeffs), 1) - 1)
+            for i, c in enumerate(self._poly.coeffs):
+                for j, d in enumerate(den):
+                    num[i + j] += c * d
+            for s0, cs in self._parts.items():
+                cof = den
+                for c in cs:
+                    cof = _horner(cof, s0)[0]
+                    for i, x in enumerate(cof):
+                        num[i] += c * x
+            self._expanded = (Poly(num), Poly(den))
+        return self._expanded
 
     def poles(self) -> dict[Fraction, int]:
         """Poles with their orders."""
@@ -260,25 +279,18 @@ class RatFunc:
         factors = []
         extra = Fraction(1)
         for root, mult in sorted(self.poles().items(), reverse=True):
-            lin = Poly([-root, 1])
-            prim, cont = lin.integer_cleared()
-            factors.append((prim, mult))
+            prim, cont = Poly([-root, 1]).integer_cleared()
+            body = f"({prim.render(var)})"
+            factors.append(body if mult == 1 else f"{body}^{mult}")
             extra *= cont**mult
         content = ncont / extra
 
-        num_str = nprim.render(var)
-        if nprim.degree >= 1:
-            num_str = f"({num_str})"
+        # a primitive numerator of degree 0 is 1
+        num_str = f"({nprim.render(var)})" if nprim.degree >= 1 else "1"
         if content.numerator != 1:
-            num_str = (
-                str(content.numerator)
-                if num_str == "1"
-                else f"{content.numerator}{_parenthesize(num_str)}"
-            )
+            num_str = f"{content.numerator}{'' if num_str == '1' else num_str}"
         den_parts = [] if content.denominator == 1 else [str(content.denominator)]
-        for prim, mult in factors:
-            body = f"({prim.render(var)})"
-            den_parts.append(body if mult == 1 else f"{body}^{mult}")
+        den_parts += factors
         if not den_parts:
             return num_str
         den_str = "".join(den_parts)
@@ -288,10 +300,6 @@ class RatFunc:
 
     def __repr__(self):
         return f"RatFunc({self.render()})"
-
-
-def _parenthesize(sstr: str) -> str:
-    return sstr if sstr.startswith("(") else f"({sstr})"
 
 
 def _monic_product(roots) -> list[Fraction]:

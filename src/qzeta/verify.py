@@ -27,6 +27,7 @@ from .errors import AdjunctionViolation, InputError, OrderTwo, ZeroAlpha
 from .hodge import euler_specialize, hodge_zeta, s_factor
 from .quotient import (
     DownDivisor,
+    QuotientPair,
     build_quotient,
     compare_levels,
     minus_branch_divisor,
@@ -263,7 +264,7 @@ def _check_theorem_instance(rng: random.Random, which: str) -> list[str]:
             problems.append(f"minimal subgraph shape {shape!r}")
         if analysis["monotone"] is False:
             problems.append("EN ratios not monotone away from the minimal subgraph")
-        problems += _veys_prediction(pair.graph_down)
+        problems += _veys_prediction(pair)
     return problems
 
 
@@ -281,13 +282,13 @@ def _alphas_abs1(graph: ResolutionGraph) -> list[str]:
     return problems
 
 
-def _veys_prediction(graph: ResolutionGraph) -> list[str]:
-    """Under the alpha-condition the poles are the strict transforms of D
-    and the exceptional curves with >= 3 marked points; the order-2 pole,
-    when present, is the closest to the origin."""
+def _veys_prediction(pair: QuotientPair) -> list[str]:
+    """Under the alpha-condition the downstairs poles are the strict
+    transforms of D and the exceptional curves with >= 3 marked points; the
+    order-2 pole, when present, is the closest to the origin."""
     problems = []
-    z = ztop(graph)
-    poles = z.poles()
+    graph = pair.graph_down
+    poles = pair.report_down.ztop.poles()
     predicted = set()
     for comp in graph.components:
         if comp.data.N == 0:

@@ -9,10 +9,10 @@ Q-resolution is
 with the two linear forms at a point taken from its incident components
 (imaginary curvette (0,1) for a missing incidence).  Every pole is a root
 -nu/N of a known form, so each term splits into partial fractions in closed
-form and the sum is built once from them; no root finding runs on this
-path.  On the topological side, orders and residues are read off the
-partial fractions; the combinatorial classification below decides the
-motivic side.
+form, and Ztop is the ``RatFunc`` holding their sum; no root finding and no
+multiplying out runs on this path.  A ``PoleReport`` keeps the Ztop whose
+partial fractions give its topological orders and residues; the
+combinatorial classification below decides the motivic side.
 """
 
 from __future__ import annotations
@@ -73,9 +73,10 @@ def zeta_from_terms(terms) -> RatFunc:
     return RatFunc.from_partial_fractions(*split)
 
 
-def _ztop_split(graph: ResolutionGraph):
-    """``_split`` of Ztop's terms, factoring each component's form once; a
-    missing incidence is the curvette (0, 1), a factor of 1."""
+def ztop(graph: ResolutionGraph) -> RatFunc:
+    """Exact topological zeta function of the pair carried by the graph,
+    factoring each component's form once; a missing incidence is the
+    curvette (0, 1), a factor of 1."""
     for comp in graph.components:
         if comp.data.is_zero_form:
             raise ZeroDenominatorForm(f"component {comp.id!r} has data (0,0)")
@@ -86,12 +87,7 @@ def _ztop_split(graph: ResolutionGraph):
         if (chi := graph.euler_open(comp.id))
     ]
     terms += [(p.order, [factor[cid] for cid in p.incident]) for p in graph.points]
-    return _split(terms)
-
-
-def ztop(graph: ResolutionGraph) -> RatFunc:
-    """Exact topological zeta function of the pair carried by the graph."""
-    return RatFunc.from_partial_fractions(*_ztop_split(graph))
+    return RatFunc.from_partial_fractions(*_split(terms))
 
 
 def ztop_nc_quotient(group_order: int, d1: NumericalData, d2: NumericalData) -> RatFunc:
@@ -189,6 +185,7 @@ class PoleEntry:
 @dataclass(frozen=True)
 class PoleReport:
     entries: tuple[PoleEntry, ...]
+    ztop: RatFunc  # the zeta function the topological orders are read from
 
     def motivic_poles(self) -> dict[Fraction, int]:
         return {e.s0: e.motivic_order for e in self.entries if e.motivic_order > 0}
@@ -214,18 +211,19 @@ def classify_poles(graph: ResolutionGraph) -> PoleReport:
     ones, has no test here: among the realizing components it could only
     close at a point where two of them meet, which is order 2.
 
-    Topological orders and residues are read off Ztop's partial fractions:
-    with c_k the coefficient of 1/(s - s0)^k, the order is 2 if c2 != 0,
-    else 1 if c1 != 0, else 0, and below motivic order 2 the residue is c1.
-    That equals :func:`top_residue`, whose ``ZeroAlpha`` cannot fire there:
-    alpha vanishes at a realizing curve only against a neighbour realizing
-    s0 (an intersecting pair) or a (0, 0) form, which ``ztop`` rejects.
+    Topological orders and residues are read off Ztop's partial fractions,
+    and the report keeps that Ztop.  Below motivic order 2 the residue, the
+    coefficient of 1/(s - s0), equals :func:`top_residue`, whose
+    ``ZeroAlpha`` cannot fire there: alpha vanishes at a realizing curve
+    only against a neighbour realizing s0 (an intersecting pair) or a
+    (0, 0) form, which ``ztop`` rejects.
     """
-    _, parts = _ztop_split(graph)
+    z = ztop(graph)
+    orders = z.poles()
     rupture = set(rupture_components(graph))
     entries = []
     for s0 in sorted(graph.candidate_poles(), reverse=True):
-        c1, c2 = parts.get(s0, (Fraction(0), Fraction(0)))
+        top = orders.get(s0, 0)
         realizing = graph.realizing(s0)
         witnesses: list[tuple[str, str]] = []
         if _intersecting_pair(graph, realizing):
@@ -242,20 +240,15 @@ def classify_poles(graph: ResolutionGraph) -> PoleReport:
                     witnesses.append((comp.id, "rupture"))
             if witnesses:
                 mot = 1
-        entry = PoleEntry(
-            s0=s0,
-            top_order=2 if c2 else 1 if c1 else 0,
-            motivic_order=mot,
-            witnesses=tuple(witnesses),
-            residue=c1 if mot < 2 else None,
-        )
-        if entry.top_order > entry.motivic_order:
+        if top > mot:
             raise AssertionError(
                 f"topological order exceeds motivic order at s0 = {s0}"
             )
         # order-two poles coincide on both levels: the coefficient of the
         # squared factor is a sum of positive point multiplicities
-        if (entry.top_order == 2) != (entry.motivic_order == 2):
+        if (top == 2) != (mot == 2):
             raise AssertionError(f"order-two sets disagree at s0 = {s0}")
-        entries.append(entry)
-    return PoleReport(tuple(entries))
+        entries.append(
+            PoleEntry(s0, top, mot, tuple(witnesses), z.residue(s0) if mot < 2 else None)
+        )
+    return PoleReport(tuple(entries), z)

@@ -183,6 +183,27 @@ def test_one_build_per_quotient_pair(tmp_path, monkeypatch, capsys):
         assert len(builds) == 6
 
 
+def test_one_ztop_split_per_level(tmp_path, monkeypatch, capsys):
+    # each level's Ztop terms are split once; its pole report, the theorem
+    # checks and the printed Ztop all read that one split
+    import qzeta.zeta
+
+    splits = []
+    split = qzeta.zeta._split
+
+    def counting(terms):
+        splits.append(terms)
+        return split(terms)
+
+    monkeypatch.setattr(qzeta.zeta, "_split", counting)
+    path = write_instance(tmp_path, "sp.json", SWAPPED)
+    assert main(["quotient", "--input", path]) == 0
+    assert len(splits) == 2
+    splits.clear()
+    assert main(["zeta", "--input", path]) == 0
+    assert len(splits) == 1
+
+
 def test_quotient_command(tmp_path, capsys):
     path = write_instance(tmp_path, "q.json", QUOT_46)
     out_dir = tmp_path / "qq"

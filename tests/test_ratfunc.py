@@ -113,11 +113,22 @@ def test_from_partial_fractions_round_trip(const, parts, s, scale):
             fracs.append((Poly.const(c), _power(x, k)))
     general = ratfunc(*fraction_sum(fracs))
     assert z == general
+    # equal values from other routes hash alike: padded with zero
+    # coefficients, and through the oracle's gcd route
+    padded = RatFunc.from_partial_fractions(
+        Poly([*const, 0]), {**{s: [0]}, **{s0: [*cs, 0] for s0, cs in parts.items()}}
+    )
+    assert padded == z and hash(padded) == hash(z) == hash(general)
     roots = rational_roots(general.den)
     assert z.poles() == general.poles() == roots
+    for s0 in roots:
+        with pytest.raises(ZeroDivisionError):
+            z.eval(s0)
     # residues against the formula on the reduced P/Q, and under scaling
     scaled = z * scale
+    assert scaled == ratfunc(general.num * scale, general.den)
     assert scaled.poles() == z.poles()
+    assert z.is_zero or scaled.lead == scale * z.lead
     for s0, order in roots.items():
         if order == 1:
             assert z.residue(s0) == simple_residue(general.num, roots, s0)

@@ -215,24 +215,37 @@ def test_ztop_matches_gcd_route_poles_and_residues():
 
 
 def test_classify_poles_reads_ztop_split_directly(monkeypatch):
-    # the report reads orders and residues off Ztop's partial fractions:
-    # it builds no RatFunc and runs no combinatorial residue
+    # the report reads orders and residues off Ztop's partial fractions: it
+    # multiplies nothing out and runs no combinatorial residue; neither do
+    # equality, hashing, evaluation and scaling of the Ztop it keeps, nor the
+    # hodge-euler comparison of Ztop with the Euler specialization
     import random
 
     import qzeta.zeta
+    from qzeta import euler_specialize, hodge_zeta
     from qzeta.verify import _random_graphs
 
     def refuse(*_):
-        raise AssertionError("classify_poles left Ztop's split")
+        raise AssertionError("a library path multiplied Ztop out")
 
-    monkeypatch.setattr(RatFunc, "from_partial_fractions", refuse)
+    monkeypatch.setattr(RatFunc, "_multiply_out", refuse)
     monkeypatch.setattr(qzeta.zeta, "top_residue", refuse)
     residues = 0
     for seed in range(3):
         for g in _random_graphs(random.Random(seed)):
             for graph in (g, insert_hj_chains(g)):
-                entries = classify_poles(graph).entries
-                residues += sum(e.residue is not None for e in entries)
+                report = classify_poles(graph)
+                residues += sum(e.residue is not None for e in report.entries)
+                z = report.ztop
+                assert z == ztop(graph) and hash(z) == hash(ztop(graph))
+                assert (z * 3).poles() == z.poles() and (z * 0).is_zero
+                assert z.is_zero == (z == 0)
+                z.eval(max(z.poles(), default=0) + 1)
+                for e in report.entries:
+                    if e.top_order:
+                        with pytest.raises(ZeroDivisionError):
+                            z.eval(e.s0)
+                assert z == euler_specialize(hodge_zeta(graph))
     assert residues >= 10
 
 

@@ -2,9 +2,13 @@
 
 Expressions live in the fraction field generated by monomials
 (uv)^(A + B*s) * (u+v)^g over Q, with denominators that are products of
-factors (uv)^(nu + N*s) - 1.  Equality is exact: the zero test scales
-exponents and coefficients to integers, sums the terms one at a time into
-a numerator P over a multiset Q of factors, and divides P by each factor
+factors (uv)^(nu + N*s) - 1.  Each expression fixes one integer scale r
+when it is built and keeps every exponent on the lattice (1/r)Z: a
+monomial is the integer key (x, y, g) for (uv)^((x + y*s)/r) * (u+v)^g,
+and a factor is the integer pair (r*nu, r*N).  A sum of expressions on two
+scales moves both to their lcm.  Equality is exact: the zero test scales
+the coefficients to integers, sums the terms one at a time into a
+numerator P over a multiset Q of factors, and divides P by each factor
 M - 1 in Q whenever the division is exact (its coefficients sum to zero on
 every coset of M's exponent vector); the expression is zero exactly when
 the final P is.
@@ -12,12 +16,12 @@ the final P is.
 The Euler specialization substitutes uv = 1 + eps, u + v = 2 and extracts
 the constant term of the resulting Laurent series in eps; each denominator
 factor contributes eps * ((nu + N*s) + O(eps)).  A numerator's series
-comes from one expansion (``_num_series``): integer moments of its scaled
-exponents folded through the falling-factorial coefficients.  Every
-Laurent coefficient of a term has a power of the term's own forms
-nu + N*s as denominator, so it is split at their roots -nu/N and the
-result is built from its partial fractions.  The terms of ``hodge_zeta``
-and ``hodge_residue`` carry (uv - 1)^k over k factors, so only their
+comes from one expansion (``_num_series``): integer moments of its keys
+folded through the falling-factorial coefficients.  Every Laurent
+coefficient of a term has a power of the term's own forms nu + N*s as
+denominator, so it is split at their roots -nu/N and the result is built
+from its partial fractions.  The terms of ``hodge_zeta`` and
+``hodge_residue`` carry (uv - 1)^k over k factors, so only their
 numerator's coefficient of eps^k is ever needed.
 """
 
@@ -27,6 +31,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
+from typing import NamedTuple
 
 from .errors import (
     IndeterminateLimit,
@@ -37,31 +42,24 @@ from .ratfunc import Poly, RatFunc, partial_fractions
 from .resolution import ResolutionGraph
 from .zeta import residue_alphas
 
-# monomial key: (A, B, g) for (uv)^(A + B*s) * (u+v)^g
-Monomial = tuple[Fraction, Fraction, int]
-MonoDict = dict[Monomial, Fraction]
-
 ZERO = Fraction(0)
-UV = (Fraction(1), Fraction(0), 0)
-ONE = (Fraction(0), Fraction(0), 0)
-UPLUSV = (Fraction(0), Fraction(0), 1)
+
+# integer key (x, y, g) of (uv)^((x + y*s)/r) * (u+v)^g on scale r, and the
+# integer polynomials the zero test runs on
+IntPoly = dict[tuple[int, int, int], int]
 
 
-def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    return (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
+# Term tuples are built from lists: a tuple grown from a generator is
+# resized, so CPython's per-size tuple free lists fill up until a full
+# collection, which raised peak RSS.
+class HodgeTerm(NamedTuple):
+    num: tuple[tuple[tuple[int, int, int], int | Fraction], ...]
+    den: tuple[tuple[int, int], ...]  # factors (uv)^(nu + N*s) - 1 as (r*nu, r*N)
 
 
-@dataclass(frozen=True)
-class HodgeTerm:
-    num: tuple[tuple[Monomial, Fraction], ...]
-    den: tuple[tuple[Fraction, Fraction], ...]  # multiset of (N, nu), sorted
-
-    def num_dict(self) -> MonoDict:
-        return dict(self.num)
-
-
-def _term(num: MonoDict, den) -> HodgeTerm:
-    return HodgeTerm(tuple(sorted(num.items())), tuple(sorted(den)))
+def _on_lattice(x: Fraction, r: int) -> int:
+    """r * x, for r a multiple of x's denominator."""
+    return x.numerator * (r // x.denominator)
 
 
 @dataclass(frozen=True)
@@ -78,49 +76,70 @@ class SFactor:
         return len(self.terms)
 
 
-def s_factor(m: int, a: int, b: int, Nvec, nuvec) -> SFactor:
-    """S-factor of a point of small type (m;a,b) with local data Nvec, nuvec."""
+def _s_exponents(m: int, a: int, b: int, v1, v2) -> list[tuple[int, int]]:
+    """Exponent vectors (ia*v1 + ib*v2)/m of S_{m,a,b}, with ia = i*a and
+    ib = i*b mod m for i < m, from the local vectors v = (r*nu, r*N) on a
+    scale r where m divides every entry of both."""
     if gcd(m, a) != 1 or gcd(m, b) != 1:
         raise NonSmallAction(f"S-factor needs a small action, got ({m};{a},{b})")
-    N1, N2 = (Fraction(x) for x in Nvec)
-    nu1, nu2 = (Fraction(x) for x in nuvec)
-    terms = []
+    (x1, y1), (x2, y2) = v1, v2
+    out = []
     for i in range(m):
         ia = (i * a) % m
         ib = (i * b) % m
-        terms.append(
-            (
-                (nu1 * ia + nu2 * ib) / m,
-                (N1 * ia + N2 * ib) / m,
-            )
-        )
-    return SFactor(m, a % m, b % m, tuple(terms))
+        out.append(((x1 * ia + x2 * ib) // m, (y1 * ia + y2 * ib) // m))
+    return out
+
+
+def s_factor(m: int, a: int, b: int, Nvec, nuvec) -> SFactor:
+    """S-factor of a point of small type (m;a,b) with local data Nvec, nuvec."""
+    N1, N2 = (Fraction(x) for x in Nvec)
+    nu1, nu2 = (Fraction(x) for x in nuvec)
+    r = m * lcm(N1.denominator, N2.denominator, nu1.denominator, nu2.denominator)
+    v1 = (_on_lattice(nu1, r), _on_lattice(N1, r))
+    v2 = (_on_lattice(nu2, r), _on_lattice(N2, r))
+    terms = tuple((Fraction(x, r), Fraction(y, r)) for x, y in _s_exponents(m, a, b, v1, v2))
+    return SFactor(m, a % m, b % m, terms)
 
 
 class HodgeExpr:
-    """A formal sum of terms num / prod((uv)^(nu_j + N_j s) - 1)."""
+    """A formal sum of terms num / prod((uv)^(nu_j + N_j s) - 1), one
+    :class:`HodgeTerm` each, keyed on the integer lattice of the scale r:
+    (x, y, g) is (uv)^((x + y*s)/r) * (u+v)^g and (r*nu, r*N) the factor
+    (uv)^(nu + N*s) - 1.  Coefficients are exact rationals."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "r")
 
-    def __init__(self, terms: tuple[HodgeTerm, ...]):
+    def __init__(self, terms: tuple[HodgeTerm, ...], r: int):
         self.terms = terms
+        self.r = r
 
     @classmethod
     def zero(cls) -> "HodgeExpr":
-        return cls(())
+        return cls((), 1)
+
+    def _terms_on(self, r: int) -> tuple[HodgeTerm, ...]:
+        """The terms on the scale r, a multiple of self.r."""
+        k = r // self.r
+        if k == 1:
+            return self.terms
+        return tuple([
+            HodgeTerm(
+                tuple([((x * k, y * k, g), c) for (x, y, g), c in t.num]),
+                tuple([(a * k, b * k) for a, b in t.den]),
+            )
+            for t in self.terms
+        ])
 
     def __add__(self, other: "HodgeExpr") -> "HodgeExpr":
-        return HodgeExpr(self.terms + other.terms)
+        r = lcm(self.r, other.r)
+        return HodgeExpr(self._terms_on(r) + other._terms_on(r), r)
 
     def scale(self, c) -> "HodgeExpr":
-        c = Fraction(c)
-        if c == 0:
+        if not c:
             return HodgeExpr.zero()
-        out = []
-        for t in self.terms:
-            d = t.num_dict()
-            out.append(_term({k: v * c for k, v in d.items()}, t.den))
-        return HodgeExpr(tuple(out))
+        terms = [HodgeTerm(tuple([(key, v * c) for key, v in t.num]), t.den) for t in self.terms]
+        return HodgeExpr(tuple(terms), self.r)
 
     def __sub__(self, other: "HodgeExpr") -> "HodgeExpr":
         return self + other.scale(-1)
@@ -129,30 +148,23 @@ class HodgeExpr:
     def is_zero(self) -> bool:
         """Exact zero test by progressive summation.
 
-        Terms sharing a denominator are merged; then, taking next the term
-        that adds the fewest new factors, a running numerator P over a
-        running multiset Q of factors absorbs each term, and P is divided
-        by each factor in Q as often as the division is exact.  The sum of
-        the terms taken so far is always P / prod_Q(M_f - 1), so the
-        expression is zero exactly when the final P is.
+        Terms sharing a denominator are merged, and a group whose numerator
+        cancels is dropped; then, taking next the group that adds the
+        fewest new factors, a running numerator P over a running multiset
+        Q of factors absorbs each group, and P is divided by each factor in
+        Q as often as the division is exact.  The sum of the terms taken so
+        far is always P / prod_Q(M_f - 1), so the expression is zero
+        exactly when the final P is.
         """
-        r, scale = _integer_scales(self.terms)
-
-        def times(x, m: int) -> int:
-            return x.numerator * (m // x.denominator)
-
+        scale = lcm(*[c.denominator for t in self.terms for _, c in t.num])
         groups: dict[tuple, IntPoly] = {}
         for t in self.terms:
-            den = []
-            for N, nu in t.den:
-                if not N and not nu:
-                    raise ZeroDenominatorForm("Hodge term with a factor (uv)^0 - 1")
-                den.append((times(nu, r), times(N, r)))
-            num = groups.setdefault(tuple(sorted(den)), {})
-            for (A, B, g), c in t.num:
-                key = (times(A, r), times(B, r), g)
-                num[key] = num.get(key, 0) + times(c, scale)
-        pending = [(Counter(den), num) for den, num in groups.items()]
+            if (0, 0) in t.den:
+                raise ZeroDenominatorForm("Hodge term with a factor (uv)^0 - 1")
+            num = groups.setdefault(tuple(sorted(t.den)), {})
+            for key, c in t.num:
+                num[key] = num.get(key, 0) + c.numerator * (scale // c.denominator)
+        pending = [(Counter(den), num) for den, num in groups.items() if any(num.values())]
         p: IntPoly = {}
         q: Counter = Counter()
 
@@ -192,24 +204,8 @@ class HodgeExpr:
 
 
 # ---------------------------------------------------------------------------
-# Exact zero test over integer keys: (x, y, g) stands for
-# (uv)^((x + y*s)/r) * (u+v)^g, and a factor M - 1 for its exponent vector
-# v = (r*nu, r*N) of M.
-
-IntPoly = dict[tuple[int, int, int], int]
-
-
-def _integer_scales(terms: tuple[HodgeTerm, ...]) -> tuple[int, int]:
-    """(r, c): the lcm of every exponent denominator and of every
-    coefficient denominator occurring in the terms."""
-    r = c = 1
-    for t in terms:
-        for (A, B, _g), v in t.num:
-            r = lcm(r, A.denominator, B.denominator)
-            c = lcm(c, v.denominator)
-        for N, nu in t.den:
-            r = lcm(r, N.denominator, nu.denominator)
-    return r, c
+# Exact division of integer polynomials by a factor M - 1, M of exponent
+# vector v = (r*nu, r*N)
 
 
 def _times_factor(p: IntPoly, v: tuple[int, int]) -> IntPoly:
@@ -256,23 +252,20 @@ def _divide(p: IntPoly, v: tuple[int, int]) -> IntPoly | None:
 # Euler specialization: uv = 1 + eps, u + v = 2, take the constant term
 
 
-def _num_series(num, n: int) -> list[Poly]:
-    """P_j = sum c 2^g binomial(A + B*s, j) for j < n over the monomials
-    ((A, B, g), c) of num: its series under uv = 1 + eps, u + v = 2.
+def _num_series(num, n: int, r: int) -> list[Poly]:
+    """P_j = sum c 2^g binomial((x + y*s)/r, j) for j < n over the monomials
+    ((x, y, g), c) of num: its series under uv = 1 + eps, u + v = 2.
 
-    With A = a/r, B = b/r and c 2^g = w/q over integers, the integer moments
-    M[i][l] = sum w a^(i-l) b^l make the coefficient of s^l in P_j
+    With c 2^g = w/q over integers, the integer moments
+    M[i][l] = sum w x^(i-l) y^l make the coefficient of s^l in P_j
     sum_i f(j, i) binomial(i, l) M[i][l] r^(j-i) / (q r^j j!), where f(j, i)
     is the coefficient of x^i in the falling factorial x (x-1) ... (x-j+1).
     """
-    r = q = 1
-    for (A, B, _g), c in num:
-        r = lcm(r, A.denominator, B.denominator)
+    q = 1
+    for _, c in num:
         q = lcm(q, c.denominator)
     moments = [[0] * (i + 1) for i in range(n)]
-    for (A, B, g), c in num:
-        a = A.numerator * (r // A.denominator)
-        b = B.numerator * (r // B.denominator)
+    for (a, b, g), c in num:
         row = [c.numerator * (q // c.denominator) << g]
         for i in range(n):
             for l, x in enumerate(row):
@@ -310,22 +303,22 @@ def _poly_series_mul(a: list[Poly], b: list[Poly], n: int) -> list[Poly]:
     return out
 
 
-def _laurent_numerators(num: list[Poly], den, depth: int) -> list[Poly]:
+def _laurent_numerators(num: list[Poly], den, depth: int, r: int) -> list[Poly]:
     """R_0, ..., R_(depth-1) of a term (see :func:`euler_specialize`) from
     its numerator series num, taken from its first nonzero order on."""
     # (uv)^(nu + N s) - 1 = eps * sum_(i >= 1) binomial(nu + N s, i) eps^(i-1)
     unit = [Poly.const(1)] + [Poly()] * (depth - 1)
-    for N, nu in den:
-        factor = _num_series((((nu, N, 0), Fraction(1)),), depth + 1)[1:]
+    for a, b in den:
+        factor = _num_series((((a, b, 0), 1),), depth + 1, r)[1:]
         unit = _poly_series_mul(unit, factor, depth)
     u0 = unit[0]
     u0_pows = [Poly.const(1)]
     rs: list[Poly] = []
     for j in range(depth):
-        r = num[j] * u0_pows[j]
+        rj = num[j] * u0_pows[j]
         for i, ri in enumerate(rs):
-            r = r - ri * unit[j - i] * u0_pows[j - 1 - i]
-        rs.append(r)
+            rj = rj - ri * unit[j - i] * u0_pows[j - 1 - i]
+        rs.append(rj)
         u0_pows.append(u0_pows[j] * u0)
     return rs
 
@@ -345,31 +338,34 @@ def euler_specialize(expr: HodgeExpr) -> RatFunc:
     fractions are unique, so a negative order vanishes exactly when all its
     coefficients do; otherwise :class:`IndeterminateLimit` is raised.
     """
+    r = expr.r
     # Laurent order -> [polynomial part, {root: [c1, c2, ...]}]
     orders: dict[int, list] = {}
     for t in expr.terms:
         k = len(t.den)
-        scale = Fraction(1)
+        # u0 = prod (a + b*s)/r over the factors (a, b) = (r*nu, r*N)
+        lead = 1
         roots: dict[Fraction, int] = {}
-        for N, nu in t.den:
-            if N:
-                scale *= N
-                a = -nu / N
-                roots[a] = roots.get(a, 0) + 1
-            elif nu:
-                scale *= nu
+        for a, b in t.den:
+            if b:
+                lead *= b
+                root = Fraction(-a, b)
+                roots[root] = roots.get(root, 0) + 1
+            elif a:
+                lead *= a
             else:
                 raise ZeroDenominatorForm("Hodge term with a factor (uv)^0 - 1")
-        num_series = _num_series(t.num, k + 1)
+        scale = Fraction(lead, r**k)
+        num_series = _num_series(t.num, k + 1, r)
         v = next((i for i, p in enumerate(num_series) if not p.is_zero), None)
         if v is None:
             continue
         # orders v - k .. 0 need the factor series only up to eps^(k - v)
         depth = k + 1 - v
-        rs = num_series[v:] if depth == 1 else _laurent_numerators(num_series[v:], t.den, depth)
-        for j, r in enumerate(rs):
+        rs = num_series[v:] if depth == 1 else _laurent_numerators(num_series[v:], t.den, depth, r)
+        for j, rj in enumerate(rs):
             poly, parts = partial_fractions(
-                r * (1 / scale ** (j + 1)), {a: m * (j + 1) for a, m in roots.items()}
+                rj * (1 / scale ** (j + 1)), {a: m * (j + 1) for a, m in roots.items()}
             )
             acc = orders.setdefault(v + j - k, [Poly(), {}])
             if not poly.is_zero:
@@ -394,41 +390,44 @@ def hodge_zeta(graph: ResolutionGraph) -> HodgeExpr:
     """Hodge zeta function of the pair carried by the graph.
 
     Points of order m > 1 contribute through their S-factors; on smooth
-    models (all orders 1) this is the plain Hodge zeta.
+    models (all orders 1) this is the plain Hodge zeta.  The scale is the
+    lcm of every component's denominators and, at each point of order m,
+    of m times those of its incident data, so that every S-factor
+    exponent is an integer.
     """
     for comp in graph.components:
         if comp.data.is_zero_form:
             raise ZeroDenominatorForm(f"component {comp.id!r} has data (0,0)")
+    r = lcm(*[x.denominator for comp in graph.components for x in (comp.data.N, comp.data.nu)])
+    local = []
+    for point in graph.points:
+        d1, d2 = graph.incident_data(point)
+        dens = [x.denominator for d in (d1, d2) for x in (d.N, d.nu)]
+        r = lcm(r, point.local_type.m * lcm(*dens))
+        local.append((point.local_type, d1, d2))
+
+    def vec(data) -> tuple[int, int]:
+        return _on_lattice(data.nu, r), _on_lattice(data.N, r)
+
     terms = []
     for comp in graph.exceptional:
         # (uv - g(u+v) + (1 - k)) (uv - 1)
         #   = uv^2 - k uv + (k - 1) - g (u+v) uv + g (u+v)
         k = len(graph.points_on(comp.id))
         g = comp.genus
-        num = {
-            (Fraction(2), Fraction(0), 0): 1,
-            UV: -k,
-            ONE: k - 1,
-            (Fraction(1), Fraction(0), 1): -g,
-            UPLUSV: g,
-        }
-        terms.append(_term(
-            {key: Fraction(c) for key, c in num.items() if c}, ((comp.data.N, comp.data.nu),)
-        ))
-    for point in graph.points:
-        d1, d2 = graph.incident_data(point)
-        lt = point.local_type
-        sf = s_factor(lt.m, lt.a, lt.b, (d1.N, d2.N), (d1.nu, d2.nu))
+        num = (((2 * r, 0, 0), 1), ((r, 0, 0), -k), ((0, 0, 0), k - 1),
+               ((r, 0, 1), -g), ((0, 0, 1), g))
+        terms.append(HodgeTerm(tuple([mono for mono in num if mono[1]]), (vec(comp.data),)))
+    for lt, d1, d2 in local:
+        v1, v2 = vec(d1), vec(d2)
         # S (uv - 1)^2: (uv)^(A+2+Bs) - 2 (uv)^(A+1+Bs) + (uv)^(A+Bs) per exponent
         num = {}
-        for A, B in sf.terms:
-            for shift, c in ((2, 1), (1, -2), (0, 1)):
-                key = (A + shift, B, 0)
+        for x, y in _s_exponents(lt.m, lt.a, lt.b, v1, v2):
+            for shift, c in ((2 * r, 1), (r, -2), (0, 1)):
+                key = (x + shift, y, 0)
                 num[key] = num.get(key, 0) + c
-        terms.append(_term(
-            {key: Fraction(c) for key, c in num.items() if c}, ((d1.N, d1.nu), (d2.N, d2.nu))
-        ))
-    return HodgeExpr(tuple(terms))
+        terms.append(HodgeTerm(tuple([(key, c) for key, c in num.items() if c]), (v1, v2)))
+    return HodgeExpr(tuple(terms), r)
 
 
 def hodge_residue(graph: ResolutionGraph, s0) -> HodgeExpr:
@@ -437,28 +436,28 @@ def hodge_residue(graph: ResolutionGraph, s0) -> HodgeExpr:
     The common unit prefactor (1 - uv) of the motivic residue is omitted so
     that the Euler specialization of this expression equals the topological
     residue; vanishing is unaffected.  Raises :class:`OrderTwo` and
-    :class:`ZeroAlpha` exactly where :func:`top_residue` does.
+    :class:`ZeroAlpha` exactly where :func:`top_residue` does.  The scale is
+    the lcm of the denominators of s0 and of the alpha-values.
     """
     s0 = Fraction(s0)
-    prefix = (-s0, Fraction(0), 0)  # (uv)^(-s0)
+    parts = residue_alphas(graph, s0)
+    r = lcm(s0.denominator, *[a.denominator for _, alphas in parts for a in alphas.values()])
+    x0 = _on_lattice(-s0, r)  # (uv)^(-s0)
     terms = []
-    for comp, alphas in residue_alphas(graph, s0):
+    for comp, alphas in parts:
         inv_n = Fraction(1) / comp.data.N
         if comp.is_exceptional:
             # (1/N) (uv)^(-s0) (uv - g(u+v) + (1-k))
             k = len(alphas)
-            head: MonoDict = {_mono_mul(prefix, UV): inv_n}
+            head = [((x0 + r, 0, 0), inv_n)]
             if comp.genus:
-                head[_mono_mul(prefix, UPLUSV)] = -comp.genus * inv_n
+                head.append(((x0, 0, 1), -comp.genus * inv_n))
             if 1 - k:
-                head[prefix] = Fraction(1 - k) * inv_n
-            terms.append(_term(head, ()))
+                head.append(((x0, 0, 0), (1 - k) * inv_n))
+            terms.append(HodgeTerm(tuple(head), ()))
         # point terms (1/N) (uv)^(-s0) (uv - 1) / ((uv)^alpha - 1); a strict
         # transform contributes only these
+        point = (((x0 + r, 0, 0), inv_n), ((x0, 0, 0), -inv_n))
         for a in alphas.values():
-            num = {
-                _mono_mul(prefix, UV): inv_n,
-                prefix: -inv_n,
-            }
-            terms.append(_term(num, ((Fraction(0), a),)))
-    return HodgeExpr(tuple(terms))
+            terms.append(HodgeTerm(point, ((_on_lattice(a, r), 0),)))
+    return HodgeExpr(tuple(terms), r)

@@ -157,15 +157,15 @@ def _check_hodge_instance(rng: random.Random, strong: bool) -> list[str]:
     problems = []
     g = _hodge_graph(rng)
     z = ztop(g)
-    smooth = insert_hj_chains(g)
-    if euler_specialize(hodge_zeta(g)) != z:
+    h, h_smooth = hodge_zeta(g), hodge_zeta(insert_hj_chains(g))
+    if euler_specialize(h) != z:
         problems.append("euler(hodge) != ztop on the Q-resolution")
-    if euler_specialize(hodge_zeta(smooth)) != z:
+    if euler_specialize(h_smooth) != z:
         problems.append("euler(hodge) != ztop on the smooth model")
     # the exact equality divides out each factor as the terms are summed, so
     # its cost follows the partial sums and needs no size gate; it runs on
     # every fifth instance to keep batches short
-    if strong and hodge_zeta(g) != hodge_zeta(smooth):
+    if strong and h != h_smooth:
         problems.append("hodge zeta not invariant under chain insertion")
     return problems
 

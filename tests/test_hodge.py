@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hodge_oracle import fraction_terms, lattice
 from ratfunc_oracle import ratfunc
 
 from qzeta import (
@@ -18,7 +19,7 @@ from qzeta import (
     ztop,
 )
 from qzeta.errors import NonSmallAction
-from qzeta.hodge import ONE, UV, HodgeExpr, _divide, _integer_scales, _term
+from qzeta.hodge import HodgeExpr, HodgeTerm, _divide
 
 
 def test_s_factor_trivial_and_count():
@@ -46,14 +47,7 @@ def test_s_factor_rejects_non_small():
 def test_euler_of_simple_quotient_term():
     # (uv - 1)/((uv)^alpha - 1) -> 1/alpha
     for alpha in (Fraction(2), Fraction(-1, 3), Fraction(7, 5)):
-        expr = HodgeExpr(
-            (
-                _term(
-                    {(Fraction(1), Fraction(0), 0): Fraction(1), (Fraction(0), Fraction(0), 0): Fraction(-1)},
-                    ((Fraction(0), alpha),),
-                ),
-            )
-        )
+        expr = lattice([({(1, 0, 0): Fraction(1), (0, 0, 0): Fraction(-1)}, [(0, alpha)])])
         assert euler_specialize(expr) == RatFunc.const(1 / alpha)
 
 
@@ -135,31 +129,145 @@ def test_hodge_residue_nonzero_but_top_zero(graph_x4y10):
 
 def test_euler_indeterminate_limit():
     from qzeta.errors import IndeterminateLimit
-    from qzeta.hodge import _term
 
     # a bare 1/((uv)^alpha - 1) has a genuine pole at uv = 1
-    expr = HodgeExpr(
-        (_term({(Fraction(0), Fraction(0), 0): Fraction(1)}, ((Fraction(0), Fraction(2)),)),)
-    )
+    expr = lattice([({(0, 0, 0): Fraction(1)}, [(0, 2)])])
     with pytest.raises(IndeterminateLimit):
         euler_specialize(expr)
 
 
-def test_hodge_common_denominator_invariant(pair_x4y10):
-    # the zero test runs on integer keys: r clears every exponent, c every coefficient
-    for g in (pair_x4y10.graph_down, insert_hj_chains(pair_x4y10.graph_down)):
-        expr = hodge_zeta(g)
-        r, c = _integer_scales(expr.terms)
-        assert r > 1 and c == 1
-        for t in expr.terms:
-            for (A, B, _gg), coeff in t.num:
-                assert (A * r).denominator == (B * r).denominator == 1
-                assert (coeff * c).denominator == 1
-            for N, nu in t.den:
-                assert (N * r).denominator == (nu * r).denominator == 1
-    assert _integer_scales(HodgeExpr.zero().terms) == (1, 1)
-    half = HodgeExpr((_term({(Fraction(1, 2), Fraction(1, 3), 0): Fraction(5, 4)}, ((Fraction(2, 5), Fraction(1)),)),))
-    assert _integer_scales(half.terms) == (30, 4)
+def _lattice_scale(g) -> int:
+    """The scale hodge_zeta states: the lcm of every component's
+    denominators and, at each point of order m, of m times those of its
+    incident data."""
+    from math import lcm
+
+    r = lcm(*(x.denominator for c in g.components for x in (c.data.N, c.data.nu)))
+    for p in g.points:
+        d1, d2 = g.incident_data(p)
+        r = lcm(r, p.local_type.m * lcm(*(x.denominator for x in (d1.N, d1.nu, d2.N, d2.nu))))
+    return r
+
+
+def _rescaled(expr, k):
+    """expr by hand on the scale k*r: every key and factor times k."""
+    return HodgeExpr(
+        tuple(
+            HodgeTerm(
+                tuple(((x * k, y * k, g), c) for (x, y, g), c in t.num),
+                tuple((a * k, b * k) for a, b in t.den),
+            )
+            for t in expr.terms
+        ),
+        expr.r * k,
+    )
+
+
+def test_hodge_terms_on_one_integer_lattice(pair_x4y10):
+    import random
+    from math import lcm
+
+    import hodge_oracle
+    from qzeta.errors import OrderTwo, ZeroAlpha
+    from qzeta.verify import _random_graphs
+    from qzeta.zeta import residue_alphas
+
+    def on_lattice(expr):
+        return all(
+            type(x) is int for t in expr.terms for key, _c in t.num for x in key
+        ) and all(type(x) is int for t in expr.terms for f in t.den for x in f)
+
+    down = pair_x4y10.graph_down
+    graphs = [down, insert_hj_chains(down)]
+    for seed in range(3):
+        for g in _random_graphs(random.Random(seed)):
+            graphs += [g, insert_hj_chains(g)]
+    exprs = []
+    for g in graphs:
+        h = hodge_zeta(g)
+        # integer keys, factors and coefficients on the stated scale
+        assert h.r == _lattice_scale(g) and on_lattice(h)
+        assert all(type(c) is int for t in h.terms for _k, c in t.num)
+        exprs.append(h)
+        for s0 in sorted(g.candidate_poles()):
+            try:
+                res = hodge_residue(g, s0)
+            except (OrderTwo, ZeroAlpha):
+                continue
+            alphas = [a for _c, al in residue_alphas(g, s0) for a in al.values()]
+            assert res.r == lcm(s0.denominator, *(a.denominator for a in alphas))
+            assert on_lattice(res)
+            exprs.append(res)
+    assert hodge_zeta(down).r > 1 and hodge_zeta(insert_hj_chains(down)).r > 1
+    assert HodgeExpr.zero().r == 1
+    half = lattice([({(Fraction(1, 2), Fraction(1, 3), 0): Fraction(5, 4)}, [(Fraction(2, 5), 1)])])
+    assert half.r == 30 and half.terms == (HodgeTerm((((15, 10, 0), Fraction(5, 4)),), ((30, 12),)),)
+    exprs.append(half)
+    # a copy on k times the scale is the same expression (half has a pole
+    # in eps, so it has no Euler specialization)
+    for expr in exprs:
+        for k in (2, 3):
+            copy = _rescaled(expr, k)
+            assert copy == expr and expr == copy
+            if expr is not half:
+                assert euler_specialize(copy) == euler_specialize(expr)
+        assert expr != _rescaled(expr, 2).scale(2) or expr.is_zero
+
+    # sums across coprime scales against the clearing oracle:
+    # c ((uv)^(1/n) - 1)/((uv)^(1/n) - 1) = c on the scale n
+    def one(n, c):
+        f = [(0, Fraction(1, n))]
+        return lattice([({(Fraction(1, n), 0, 0): c}, f), ({(0, 0, 0): -c}, f)])
+
+    # 3 (u+v) (uv)^(2s/5) (uv - 1) / ((uv)^(1 + s/5) - 1) -> 6/(1 + s/5)
+    fifth = lattice([({(1, Fraction(2, 5), 1): 3, (0, Fraction(2, 5), 1): -3}, [(Fraction(1, 5), 1)])])
+    cases = [
+        (one(2, 1), one(3, -1), True),
+        (one(2, 1), one(3, -2), False),
+        (one(2, 1), fifth, False),
+        (one(3, 1), fifth, False),
+        (fifth, one(7, 1), False),
+    ]
+    for a, b, zero in cases:
+        total = a + b
+        assert total.r == a.r * b.r
+        assert total.is_zero is zero and hodge_oracle.is_zero(total) is zero
+        assert hodge_oracle.cleared_numerator(total) == hodge_oracle.cleared_numerator(
+            lattice(fraction_terms(a) + fraction_terms(b))
+        )
+    assert euler_specialize(one(2, 1) + one(3, -1)) == RatFunc.zero()
+    assert euler_specialize(one(2, 1) + one(3, -2)) == RatFunc.const(-1)
+    assert euler_specialize(fifth + one(7, 1)) == ratfunc(Poly([35, 1]), Poly([5, 1]))
+
+
+def test_is_zero_drops_cancelled_groups(monkeypatch):
+    # h - h merges every term with its negative: no group is left to
+    # multiply out or divide
+    import random
+
+    import qzeta.hodge
+    from qzeta.verify import _random_graphs
+
+    calls = []
+    for name in ("_times_factor", "_divide"):
+        original = getattr(qzeta.hodge, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(qzeta.hodge, name, counted)
+    checked = 0
+    for seed in range(3):
+        for g in _random_graphs(random.Random(seed)):
+            for graph in (g, insert_hj_chains(g)):
+                h = hodge_zeta(graph)
+                assert (h - h).is_zero
+                checked += 1
+    assert calls == [] and checked == 18
+    # the counters are live: a real equality still multiplies and divides
+    assert hodge_zeta(g) == hodge_zeta(insert_hj_chains(g))
+    assert {"_times_factor", "_divide"} <= set(calls)
 
 
 def test_intersection_points_count_per_point():
@@ -188,12 +296,12 @@ def test_intersection_points_count_per_point():
 def test_euler_zero_form_factor_raises():
     from qzeta.errors import ZeroDenominatorForm
 
-    expr = HodgeExpr((_term({UV: Fraction(1), ONE: Fraction(-1)}, ((Fraction(0), Fraction(0)),)),))
+    expr = lattice([({(1, 0, 0): Fraction(1), (0, 0, 0): Fraction(-1)}, [(0, 0)])])
     with pytest.raises(ZeroDenominatorForm):
         euler_specialize(expr)
 
 
-UV_2S_MINUS_1 = {(Fraction(0), Fraction(2), 0): Fraction(1), ONE: Fraction(-1)}  # ~ 2s eps
+UV_2S_MINUS_1 = {(0, 2, 0): Fraction(1), (0, 0, 0): Fraction(-1)}  # ~ 2s eps
 
 
 def _cleared(M, factors, S):
@@ -206,21 +314,21 @@ def _cleared(M, factors, S):
         dA = sum(factors[i][1] for i in T)
         dB = sum(factors[i][0] for i in T)
         num = {(A + dA, B + dB, g): sign * c for (A, B, g), c in M.items()}
-        terms.append(_term(num, [(Fraction(N), Fraction(nu)) for N, nu in factors]))
-    return HodgeExpr(tuple(terms))
+        terms.append((num, factors))
+    return lattice(terms)
 
 
 def _doubled(expr):
     """expr with its first term rewritten over a doubled first factor f:
     1/(f - 1) = (f + 1)/(f^2 - 1).  The value stays; the terms no longer
     share one denominator, so their unit series differ."""
-    (head, *rest) = expr.terms
-    (N, nu), *others = head.den
+    (head, head_den), *rest = fraction_terms(expr)
+    (N, nu), *others = head_den
     num = {}
-    for (A, B, g), c in head.num:
+    for (A, B, g), c in head.items():
         for key in ((A, B, g), (A + nu, B + N, g)):
             num[key] = num.get(key, 0) + c
-    return HodgeExpr((_term(num, [(2 * N, 2 * nu), *others]), *rest))
+    return lattice([(num, [(2 * N, 2 * nu), *others]), *rest])
 
 
 def _cancelling_cases():
@@ -252,7 +360,7 @@ def test_euler_negative_orders_cancel_across_terms():
         assert euler_specialize(expr) == expected
         # one term alone keeps its pole in eps
         with pytest.raises(IndeterminateLimit):
-            euler_specialize(HodgeExpr(expr.terms[1:]))
+            euler_specialize(HodgeExpr(expr.terms[1:], expr.r))
 
 
 def _sympy_laurent(expr, sympy):
@@ -280,15 +388,15 @@ def _sympy_laurent(expr, sympy):
         return sum((F(c) * eps**i for i, c in enumerate(coeffs)), R.zero)
 
     orders = {}
-    for t in expr.terms:
-        n = len(t.den) + 1
+    for t_num, t_den in fraction_terms(expr):
+        n = len(t_den) + 1
         num = [P.zero] * n
-        for (A, B, g), c in t.num:
+        for (A, B, g), c in t_num.items():
             for i, b in enumerate(binomials(A, B, n)):
                 num[i] += rat(c) * 2**g * b
         # (uv)^a - 1 = eps * (a + binomial(a, 2) eps + ...)
         unit = R.one
-        for N, nu in t.den:
+        for N, nu in t_den:
             unit = rs_mul(unit, series(binomials(nu, N, n + 1)[1:]), eps, n)
         q = rs_mul(series(num), rs_series_inversion(unit, eps, n), eps, n)
         for i in range(n):
@@ -304,7 +412,7 @@ def test_euler_specialize_agrees_with_sympy_series():
     from qzeta.verify import _random_graphs
 
     exprs = [e for e, _ in _cancelling_cases()]
-    exprs += [HodgeExpr(e.terms[1:]) for e in exprs]
+    exprs += [HodgeExpr(e.terms[1:], e.r) for e in exprs]
     for g in _random_graphs(random.Random(11)):
         exprs += [hodge_zeta(g), hodge_zeta(insert_hj_chains(g))]
         for s0 in sorted(g.candidate_poles()):
@@ -367,9 +475,9 @@ def test_top_and_hodge_residues_raise_alike():
 def test_equality_with_zero_form_factor_raises():
     from qzeta.errors import ZeroDenominatorForm
 
-    z, f = (Fraction(0), Fraction(0)), (Fraction(0), Fraction(1))
-    h1 = HodgeExpr((_term({UV: Fraction(1)}, (f,)), _term({UV: Fraction(1)}, (z,))))
-    h2 = HodgeExpr((_term({UV: Fraction(2)}, (f,)), _term({UV: Fraction(1)}, (z,))))
+    z, f, uv = (0, 0), (0, 1), (1, 0, 0)
+    h1 = lattice([({uv: Fraction(1)}, [f]), ({uv: Fraction(1)}, [z])])
+    h2 = lattice([({uv: Fraction(2)}, [f]), ({uv: Fraction(1)}, [z])])
     for check in (lambda: h1 == h2, lambda: h1.is_zero, lambda: euler_specialize(h1)):
         with pytest.raises(ZeroDenominatorForm):
             check()
@@ -382,15 +490,7 @@ def _mono(A=0, B=0, g=0):
 def _expr(*terms):
     """HodgeExpr from (num, den) pairs: num maps (A, B, g) to a coefficient,
     den lists (N, nu)."""
-    return HodgeExpr(
-        tuple(
-            _term(
-                {_mono(*k): Fraction(c) for k, c in num.items()},
-                [(Fraction(N), Fraction(nu)) for N, nu in den],
-            )
-            for num, den in terms
-        )
-    )
+    return lattice([({_mono(*k): Fraction(c) for k, c in num.items()}, den) for num, den in terms])
 
 
 def _division_cases():
@@ -446,17 +546,14 @@ def test_is_zero_exact_division_cases():
 def _perturbed(h):
     """Three nonzero changes of h: drop its last term, multiply one monomial
     by uv, add 1 to one coefficient.  Each differs from h by one nonzero term."""
-    *rest, last = h.terms
-    (A, B, g), c = last.num[0]
-    shifted = dict(last.num[1:])
+    *rest, (last, den) = fraction_terms(h)
+    (A, B, g), c = next(iter(last.items()))
+    shifted = dict(last)
+    del shifted[(A, B, g)]
     shifted[(A + 1, B, g)] = shifted.get((A + 1, B, g), 0) + c
-    bumped = dict(last.num)
+    bumped = dict(last)
     bumped[(A, B, g)] = c + 1
-    return [
-        HodgeExpr(tuple(rest)),
-        HodgeExpr((*rest, _term(shifted, last.den))),
-        HodgeExpr((*rest, _term(bumped, last.den))),
-    ]
+    return [lattice(rest), lattice([*rest, (shifted, den)]), lattice([*rest, (bumped, den)])]
 
 
 def test_is_zero_agrees_with_clearing_oracle():
@@ -544,7 +641,8 @@ def test_num_series_matches_direct_binomials():
                 for (A, B, g), c in num.items():
                     cancel[(A, B, g + 1)] = cancel.get((A, B, g + 1), 0) - c / 2
                 num = cancel
-            series = _num_series(tuple(num.items()), n)
+            expr = lattice([(num, [])])
+            series = _num_series(expr.terms[0].num, n, expr.r)
             assert len(series) == n
             for j, p in enumerate(series):
                 assert p.degree <= j
@@ -567,9 +665,14 @@ def test_hodge_and_ztop_paths_run_no_polynomial_division(monkeypatch):
     from qzeta.verify import _random_graphs
 
     # the per-term Poly and dict products and the dead cycle clause are gone
-    for name in ("_dict_mul", "_dict_add", "UV_MINUS_1", "_binom_polys"):
+    # and so are the Fraction-keyed monomial helpers
+    for name in (
+        "_dict_mul", "_dict_add", "UV_MINUS_1", "_binom_polys",
+        "Monomial", "MonoDict", "_mono_mul", "_integer_scales", "UV", "ONE", "UPLUSV",
+    ):
         assert not hasattr(qzeta.hodge, name), name
     assert not hasattr(SFactor, "num_dict")
+    assert not hasattr(HodgeTerm, "num_dict")
     assert not hasattr(qzeta.zeta, "_exceptional_cycle")
 
     def refuse(*_):

@@ -4,13 +4,14 @@ Every ``RatFunc`` is built from its partial fractions at known roots by
 ``RatFunc.from_partial_fractions``: the poles of a zeta function are roots
 -nu/N of known linear forms nu + N*s.  ``partial_fractions`` splits
 P / prod (s - a)^m at roots already known, by a Taylor shift at each root,
-so neither a polynomial gcd nor root finding is ever needed.  Both
-directions work on coefficient lists with Horner division by s - a;
-``Poly`` stays the value type they take and return.  A ``RatFunc`` is its
-partial fractions and nothing else: equality, hashing, evaluation and
-scaling read them, ``poles`` reads the orders off them and ``residue`` the
-coefficient of 1/(s - s0).  Only ``render`` and oracles multiply them back
-out into ``num``/``den``, once per value.
+so neither a polynomial gcd nor root finding is ever needed; it works on
+coefficient lists with Horner division by s - a, and ``Poly`` stays the
+value type it takes and returns.  A ``RatFunc`` is its partial fractions
+and nothing else: equality, hashing, evaluation and scaling read them,
+``poles`` reads the orders off them and ``residue`` the coefficient of
+1/(s - s0).  The way back is one integer expansion over the primitive
+factors q*s - p of the poles p/q, read by ``render``, ``num`` and ``den``
+and built once per value.
 """
 
 from __future__ import annotations
@@ -39,6 +40,14 @@ class Poly:
     @classmethod
     def const(cls, c) -> "Poly":
         return cls([c])
+
+    @classmethod
+    def _of_ints(cls, coeffs) -> "Poly":
+        """The polynomial over integer ``coeffs`` with a nonzero lead, kept
+        as ints: equal and rendered alike, and quicker to render."""
+        self = cls.__new__(cls)
+        self.coeffs = tuple(coeffs)
+        return self
 
     @classmethod
     def linear_form(cls, nu, N) -> "Poly":
@@ -164,11 +173,12 @@ class RatFunc:
     The state is the polynomial part and ``_parts``, which maps each pole s0
     to its trimmed coefficients (c1, ..., cm) of 1/(s - s0)^k, m being the
     order and cm != 0.  The split is unique, so ``==``, ``hash``,
-    ``is_zero``, ``eval`` and scaling read this state alone.  ``num`` and
-    ``den``, the reduced P/Q with monic Q, are multiplied out on first use.
+    ``is_zero``, ``eval`` and scaling read this state alone.  ``render``,
+    ``num`` and ``den`` (the reduced P/Q with monic Q) read one integer
+    expansion over primitive factors q*s - p, built on first use.
     """
 
-    __slots__ = ("_poly", "_parts", "_expanded")
+    __slots__ = ("_poly", "_parts", "_expanded", "_reduced")
 
     @classmethod
     def from_partial_fractions(cls, const, parts) -> "RatFunc":
@@ -187,7 +197,7 @@ class RatFunc:
                 trimmed[_frac(s0)] = cs
         self = cls.__new__(cls)
         self._poly = const if isinstance(const, Poly) else Poly((const,))
-        self._parts, self._expanded = trimmed, None
+        self._parts, self._expanded, self._reduced = trimmed, None, None
         return self
 
     @classmethod
@@ -237,25 +247,73 @@ class RatFunc:
             c / (x - s0) ** k for s0, cs in self._parts.items() for k, c in enumerate(cs, 1)
         )
 
-    num = property(lambda self: self._multiply_out()[0])
-    den = property(lambda self: self._multiply_out()[1])
+    @property
+    def num(self) -> Poly:
+        return self._num_den()[0]
 
-    def _multiply_out(self) -> tuple[Poly, Poly]:
-        """(num, den): den is the product of (s - s0)^order over the poles
-        and num vanishes at none of them, so num/den is reduced."""
+    @property
+    def den(self) -> Poly:
+        return self._num_den()[1]
+
+    def _num_den(self) -> tuple[Poly, Poly]:
+        """(c G / Q, D / Q) with Q = prod q^m, the lead of D: den is the
+        product of (s - s0)^order over the poles and num vanishes at none of
+        them, so num/den is reduced."""
+        if self._reduced is None:
+            content, prim, _factors, d = self._multiply_out()
+            per_lead = content / d[-1]
+            self._reduced = (
+                Poly([per_lead * g for g in prim]),
+                Poly([Fraction(x, d[-1]) for x in d]),
+            )
+        return self._reduced
+
+    def _multiply_out(self) -> tuple[Fraction, list[int], list[tuple[int, int, int]], list[int]]:
+        """(c, G, factors, D) with z = c G(s) / D(s) and D = prod (q s - p)^m.
+
+        ``factors`` lists (q, p, m) for each pole p/q of order m, by
+        descending pole; D and G are ascending integer coefficients, G
+        primitive with a positive lead, and c is the one ``Fraction``
+        content.  The part c_k / (s - p/q)^k is c_k q^k D/(q s - p)^k over
+        D: each cofactor is an exact integer division of the one before by
+        q s - p (Gauss's lemma), and every c_k is put over the lcm L of the
+        coefficient denominators, so L z D is a sum of integer polynomials.
+        """
         if self._expanded is None:
-            den = _monic_product({s0: len(cs) for s0, cs in self._parts.items()})
-            num = [Fraction(0)] * (len(den) + max(len(self._poly.coeffs), 1) - 1)
-            for i, c in enumerate(self._poly.coeffs):
-                for j, d in enumerate(den):
-                    num[i + j] += c * d
+            if self.is_zero:
+                self._expanded = (Fraction(0), [], [], [1])
+                return self._expanded
+            factors = [
+                (s0.denominator, s0.numerator, len(cs))
+                for s0, cs in sorted(self._parts.items(), reverse=True)
+            ]
+            d = [1]
+            for q, p, m in factors:
+                for _ in range(m):
+                    d = _times_form(d, q, p)
+            poly = self._poly.coeffs
+            scale = lcm(
+                *(c.denominator for c in poly),
+                *(c.denominator for cs in self._parts.values() for c in cs),
+            )
+            num = [0] * (len(d) + max(len(poly), 1) - 1)
+            for i, a in enumerate(poly):
+                a = a.numerator * (scale // a.denominator)
+                for j, x in enumerate(d):
+                    num[i + j] += a * x
             for s0, cs in self._parts.items():
-                cof = den
+                q, p = s0.denominator, s0.numerator
+                cof, qk = d, 1
                 for c in cs:
-                    cof = _horner(cof, s0)[0]
+                    cof = _divide_form(cof, q, p)
+                    qk *= q
+                    c = c.numerator * qk * (scale // c.denominator)
                     for i, x in enumerate(cof):
                         num[i] += c * x
-            self._expanded = (Poly(num), Poly(den))
+            while not num[-1]:
+                num.pop()
+            g = gcd(*num) if num[-1] > 0 else -gcd(*num)
+            self._expanded = (Fraction(g, scale), [x // g for x in num], factors, d)
         return self._expanded
 
     def poles(self) -> dict[Fraction, int]:
@@ -271,26 +329,22 @@ class RatFunc:
         return cs[0]
 
     def render(self, var: str = "s") -> str:
-        """Canonical string: integer-cleared content-free P/Q, factored Q."""
+        """Canonical string: integer-cleared content-free P/Q, factored Q.
+
+        The form, a content of -1 printed as ``-1(...)`` included, is pinned
+        by the rendered outputs in ``perfbench/digests.json``.
+        """
         if self.is_zero:
             return "0"
-        nprim, ncont = self.num.integer_cleared()
-        # monic den = prod (s - root)^mult = extra * prod(primitive factors)
-        factors = []
-        extra = Fraction(1)
-        for root, mult in sorted(self.poles().items(), reverse=True):
-            prim, cont = Poly([-root, 1]).integer_cleared()
-            body = f"({prim.render(var)})"
-            factors.append(body if mult == 1 else f"{body}^{mult}")
-            extra *= cont**mult
-        content = ncont / extra
-
+        content, prim, factors, _d = self._multiply_out()
         # a primitive numerator of degree 0 is 1
-        num_str = f"({nprim.render(var)})" if nprim.degree >= 1 else "1"
+        num_str = f"({Poly._of_ints(prim).render(var)})" if len(prim) > 1 else "1"
         if content.numerator != 1:
             num_str = f"{content.numerator}{'' if num_str == '1' else num_str}"
         den_parts = [] if content.denominator == 1 else [str(content.denominator)]
-        den_parts += factors
+        for q, p, m in factors:
+            body = f"({Poly._of_ints((-p, q)).render(var)})"
+            den_parts.append(body if m == 1 else f"{body}^{m}")
         if not den_parts:
             return num_str
         den_str = "".join(den_parts)
@@ -300,6 +354,28 @@ class RatFunc:
 
     def __repr__(self):
         return f"RatFunc({self.render()})"
+
+
+def _times_form(cs: list[int], q: int, p: int) -> list[int]:
+    """The integer coefficients of cs(s) * (q s - p)."""
+    return [-p * cs[0], *(q * cs[i - 1] - p * cs[i] for i in range(1, len(cs))), q * cs[-1]]
+
+
+def _divide_form(cs: list[int], q: int, p: int) -> list[int]:
+    """The integer coefficients of cs(s) / (q s - p), which must divide it.
+
+    Synthetic division from the top: with cs = (q s - p) b, each
+    b_(i-1) = (cs_i + p b_i) / q is exact by Gauss's lemma, q s - p being
+    primitive, and the remainder cs_0 + p b_0 is zero.
+    """
+    out = []
+    acc = 0
+    for c in cs[:0:-1]:
+        acc, rem = divmod(c + p * acc, q)
+        assert not rem, "q s - p does not divide the integer product"
+        out.append(acc)
+    assert cs[0] + p * acc == 0, "q s - p does not divide the integer product"
+    return out[::-1]
 
 
 def _monic_product(roots) -> list[Fraction]:

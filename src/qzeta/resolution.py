@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from types import MappingProxyType
 
 from .cyclic import PLANE, ActionSpec, CyclicType, HJChain, hj_expand, smallify_action
 from .errors import (
@@ -175,6 +176,7 @@ class ResolutionGraph:
             self, "_incidence", {cid: tuple(ps) for cid, ps in incidence.items()}
         )
         object.__setattr__(self, "_poles", {s0: tuple(cs) for s0, cs in poles.items()})
+        object.__setattr__(self, "_alphas", {})
 
     def component(self, cid: str) -> Component:
         return self._index[cid]
@@ -211,12 +213,16 @@ class ResolutionGraph:
                 return self.component(other)
         return None
 
-    def alpha_values(self, cid: str) -> dict[str, Fraction]:
+    def alpha_values(self, cid: str) -> MappingProxyType[str, Fraction]:
         """alpha-value of every marked point on the component ``cid``.
 
         For P on E_i of order m: (nu_j - (nu_i/N_i) N_j)/m against the other
         incident component (imaginary curvette (0,1) when there is none).
+        Computed once per component and kept, read-only.
         """
+        cached = self._alphas.get(cid)
+        if cached is not None:
+            return cached
         comp = self.component(cid)
         if comp.data.N == 0:
             raise ZeroN(f"alpha-values of {cid!r} need N != 0")
@@ -226,7 +232,8 @@ class ResolutionGraph:
             other = self.other_component(p, cid)
             data = other.data if other is not None else VIRTUAL_END
             out[p.id] = (data.nu - ratio * data.N) / p.order
-        return out
+        cached = self._alphas[cid] = MappingProxyType(out)
+        return cached
 
     def alpha_at(self, pid: str, cid: str) -> Fraction:
         return self.alpha_values(cid)[pid]

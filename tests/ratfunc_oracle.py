@@ -4,7 +4,9 @@ The library builds every ``RatFunc`` from partial fractions at known roots.
 This module is the independent route it is checked against: reduce P/Q by
 a Euclidean polynomial gcd and find the poles by rational-root trial
 division.  Residues at simple poles come from the reduced P/Q by the
-usual formula, not from the split.
+usual formula, not from the split.  ``multiply_out`` and ``render`` are the
+``Fraction`` route back from the split that the library's integer
+expansion is checked against.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from qzeta import Poly, RatFunc
-from qzeta.ratfunc import partial_fractions
+from qzeta.ratfunc import _horner, _monic_product, partial_fractions
 
 
 def monic(p: Poly) -> Poly:
@@ -100,3 +102,51 @@ def simple_residue(num: Poly, roots: dict[Fraction, int], s0) -> Fraction:
         if s1 != s0:
             rest *= (s0 - s1) ** mult
     return num.eval(s0) / rest
+
+
+def multiply_out(z: RatFunc) -> tuple[Poly, Poly]:
+    """(num, den) of z in ``Fraction`` arithmetic: den is the product of
+    (s - s0)^order over the poles, each part's cofactor comes from Horner
+    division of den by s - s0, and num vanishes at no pole."""
+    poly, parts = z._poly.coeffs, z._parts
+    den = _monic_product({s0: len(cs) for s0, cs in parts.items()})
+    num = [Fraction(0)] * (len(den) + max(len(poly), 1) - 1)
+    for i, c in enumerate(poly):
+        for j, d in enumerate(den):
+            num[i + j] += c * d
+    for s0, cs in parts.items():
+        cof = den
+        for c in cs:
+            cof = _horner(cof, s0)[0]
+            for i, x in enumerate(cof):
+                num[i] += c * x
+    return Poly(num), Poly(den)
+
+
+def render(z: RatFunc, var: str = "s") -> str:
+    """The canonical string of z from ``multiply_out``: the numerator's and
+    each monic factor's integer content cleared through ``Poly``."""
+    if z.is_zero:
+        return "0"
+    nprim, ncont = multiply_out(z)[0].integer_cleared()
+    # monic den = prod (s - root)^mult = extra * prod(primitive factors)
+    factors = []
+    extra = Fraction(1)
+    for root, mult in sorted(z.poles().items(), reverse=True):
+        prim, cont = Poly([-root, 1]).integer_cleared()
+        body = f"({prim.render(var)})"
+        factors.append(body if mult == 1 else f"{body}^{mult}")
+        extra *= cont**mult
+    content = ncont / extra
+    # a primitive numerator of degree 0 is 1
+    num_str = f"({nprim.render(var)})" if nprim.degree >= 1 else "1"
+    if content.numerator != 1:
+        num_str = f"{content.numerator}{'' if num_str == '1' else num_str}"
+    den_parts = [] if content.denominator == 1 else [str(content.denominator)]
+    den_parts += factors
+    if not den_parts:
+        return num_str
+    den_str = "".join(den_parts)
+    if len(den_parts) > 1:
+        den_str = f"({den_str})"
+    return f"{num_str}/{den_str}"

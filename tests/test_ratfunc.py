@@ -1,9 +1,17 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from ratfunc_oracle import fraction_sum, poly_gcd, ratfunc, rational_roots, simple_residue
+from ratfunc_oracle import (
+    fraction_sum,
+    multiply_out,
+    poly_gcd,
+    ratfunc,
+    rational_roots,
+    render,
+    simple_residue,
+)
 
 from qzeta import Poly, RatFunc
 from qzeta.errors import InputError
@@ -61,6 +69,9 @@ def test_render_canonical_fixtures():
     assert z3.render() == "(29s+32)/(12(s+1)(5s+8))"
     sq = ratfunc(lin(4, 6), lin(1, 2) * lin(1, 2))
     assert sq.render() == "2(3s+2)/(2s+1)^2"
+    # a content of -1 keeps its "-1(" form
+    minus = RatFunc.from_partial_fractions(0, {-1: (2,), -2: (-3,)})
+    assert minus.render() == "-1(s-1)/((s+1)(s+2))"
 
 
 def test_render_constant_and_zero():
@@ -94,6 +105,76 @@ def test_from_partial_fractions_fixture():
 
 
 small = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+
+# primes of 64 to 512 bits: their ratios are roots and coefficients in
+# lowest terms with large numerators and denominators
+BIG_PRIMES = (
+    2**64 - 59, 2**89 - 1, 2**107 - 1, 2**127 - 1,
+    2**128 - 159, 2**255 - 19, 2**256 - 189, 2**512 - 569,
+)
+prime_ratio = st.builds(
+    lambda p, q, sign: Fraction(sign * p, q),
+    st.sampled_from(BIG_PRIMES),
+    st.sampled_from(BIG_PRIMES),
+    st.sampled_from((1, -1)),
+)
+mixed = st.one_of(small, prime_ratio)
+P64, P255, P512 = 2**64 - 59, 2**255 - 19, 2**512 - 569
+
+
+@settings(max_examples=120, deadline=None)
+@example(const=[], parts={-1: [2], -2: [-3]})  # content -1: "-1(s-1)/((s+1)(s+2))"
+@example(const=[-1, 1], parts={0: [0, 0, 5, 0]})  # the cube: s - 1 + 5/s^3
+@example(
+    const=[Fraction(P255, P64), -1],
+    parts={Fraction(-P512, P255): [Fraction(P64, P512), 3], Fraction(P64, P512): [-1]},
+)
+@given(
+    const=st.lists(mixed, max_size=3),
+    parts=st.dictionaries(mixed, st.lists(mixed, max_size=3), max_size=4),
+)
+def test_integer_expansion_matches_fraction_oracle(const, parts):
+    # render, num and den from the integer expansion against the Fraction
+    # multiply-out, whichever of them is read first
+    z = RatFunc.from_partial_fractions(Poly(const), parts)
+    text = z.render()
+    assert text == render(z)
+    assert (z.num, z.den) == multiply_out(z)
+    w = RatFunc.from_partial_fractions(Poly(const), parts)
+    assert (w.num, w.den) == multiply_out(z) and w.render() == text
+
+
+def test_render_num_den_read_one_integer_expansion(monkeypatch):
+    # render, num and den share one integer expansion, built once: the
+    # Fraction kernels that partial_fractions uses do not run, and reading
+    # again expands nothing
+    import qzeta.ratfunc
+
+    calls = dict.fromkeys(("_horner", "_times_linear", "_times_form", "_divide_form"), 0)
+
+    def count(name):
+        inner = getattr(qzeta.ratfunc, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(qzeta.ratfunc, name, counted)
+
+    for name in calls:
+        count(name)
+    parts = {0: (0, 0, 5), Fraction(-7, 6): (1, -2)}
+    z = RatFunc.from_partial_fractions(Poly([-1, 1]), parts)
+    text = z.render()
+    # one product factor per pole order, one division per part
+    expected = {"_horner": 0, "_times_linear": 0, "_times_form": 5, "_divide_form": 5}
+    assert calls == expected
+    num, den = z.num, z.den
+    assert z.render() == text
+    assert calls == expected
+    w = RatFunc.from_partial_fractions(Poly([-1, 1]), parts)
+    assert (w.num, w.den) == (num, den) and w.render() == text
+    assert calls == {name: 2 * n for name, n in expected.items()}
 
 
 @settings(max_examples=150, deadline=None)

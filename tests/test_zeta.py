@@ -17,7 +17,7 @@ from qzeta import (
     ztop,
     ztop_nc_quotient,
 )
-from qzeta.errors import OrderTwo, ZeroDenominatorForm
+from qzeta.errors import OrderTwo, ZeroAlpha, ZeroDenominatorForm
 
 
 def lin(nu, N):
@@ -247,6 +247,51 @@ def test_classify_poles_reads_ztop_split_directly(monkeypatch):
                             z.eval(e.s0)
                 assert z == euler_specialize(hodge_zeta(graph))
     assert residues >= 10
+
+
+def test_alpha_values_computed_once_per_component(monkeypatch):
+    # construction (check_adjunction), classify_poles and top_residue at
+    # every candidate pole read one kept computation per component; a
+    # second round computes nothing
+    import random
+
+    import qzeta.resolution
+    from qzeta.verify import _random_graphs
+
+    made = []
+    freeze = qzeta.resolution.MappingProxyType
+
+    def counting(values):
+        made.append(freeze(values))
+        return made[-1]
+
+    monkeypatch.setattr(qzeta.resolution, "MappingProxyType", counting)
+    graphs = []
+    for seed in range(3):
+        for g in _random_graphs(random.Random(seed)):
+            graphs += [g, insert_hj_chains(g)]
+    # build_quotient also builds and checks graphs it does not return
+    built = len(made)
+    rounds = []
+    for _ in range(2):
+        for graph in graphs:
+            classify_poles(graph)
+            for s0 in graph.candidate_poles():
+                try:
+                    top_residue(graph, s0)
+                except (OrderTwo, ZeroAlpha):
+                    pass
+        rounds.append(len(made))
+    assert rounds[0] == rounds[1]
+    # every kept value was counted, and none counted later was dropped for a
+    # second computation of the same component
+    kept = {id(a) for graph in graphs for a in graph._alphas.values()}
+    assert kept <= {id(a) for a in made} and {id(a) for a in made[built:]} <= kept
+    assert rounds[0] > built
+    for graph in graphs:
+        assert {c.id for c in graph.exceptional if c.data.N != 0} <= set(graph._alphas)
+    with pytest.raises(TypeError):
+        graphs[0].alpha_values("E")["U"] = Fraction(0)
 
 
 def test_ztop_path_runs_no_root_finding():

@@ -29,7 +29,7 @@ from .serialize import (
     theorem_report_to_json,
 )
 from .verify import FAMILIES, run_family
-from .zeta import classify_poles, ztop_nc_quotient
+from .zeta import classify_poles, ztop, ztop_nc_quotient
 
 ALL_EMITS = ("graph", "zeta", "poles", "quotient", "dot")
 
@@ -147,7 +147,7 @@ def cmd_zeta(args) -> int:
     inst = load_instance(args.input)
     graph, pair = _instance_graphs(inst)
     report = classify_poles(graph)
-    z = report.ztop
+    z = ztop(graph)
     if (
         inst.is_quotient
         and inst.mode == "weighted_homogeneous"
@@ -193,8 +193,8 @@ def cmd_quotient(args) -> int:
         f"quotient X({setup.d};{setup.a},{setup.b}): correspondence "
         + ("holds" if corr["holds"] else "FAILS")
     )
-    print(f"Ztop upstairs   = {pair.report_up.ztop.render()}")
-    print(f"Ztop downstairs = {pair.report_down.ztop.render()}")
+    print(f"Ztop upstairs   = {ztop(pair.graph_up).render()}")
+    print(f"Ztop downstairs = {ztop(pair.graph_down).render()}")
     if "quotient" in emits:
         payload = quotient_pair_to_json(pair)
         payload["correspondence"] = corr

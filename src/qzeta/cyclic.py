@@ -274,7 +274,3 @@ def hj_expand(m: int, q: int) -> HJChain:
     assert all(k >= 2 for k in ks)
     assert chain.delta(1, len(ks)) == m
     return chain
-
-
-def delta(chain: HJChain, k: int, ell: int) -> int:
-    return chain.delta(k, ell)

@@ -11,17 +11,15 @@ every pairing for the proportionality checks (N,nu) = e (Nbar,nubar),
 alpha = n alphabar and d m = r e1 e2 mbar.  Every pair takes this one
 route, including two transverse branches swapped by the action, whose
 downstairs total transform is not Q-normal crossing before the blow-up.
-Each pair is built once, and each of its levels gets one pole report,
-computed on first use, which keeps that level's Ztop; ``compare_levels``
-checks Theorems A, B and C on those two reports, B when W is trivial
-upstairs (Wbar = -B_rho).
+Each pair is built once, and each of its two graphs keeps its own Ztop and
+pole report; ``compare_levels`` checks Theorems A, B and C on those, B when
+W is trivial upstairs (Wbar = -B_rho).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
 from math import gcd
 
 from .cyclic import PLANE, CyclicType, smallify_action
@@ -46,7 +44,7 @@ from .resolution import (
     validate_weights,
     weighted_blowup,
 )
-from .zeta import classify_poles, rupture_components
+from .zeta import classify_poles, rupture_components, ztop
 
 
 def _frac(x) -> Fraction:
@@ -281,10 +279,6 @@ class QuotientPair:
     table: CorrespondenceTable
     analysis: OrbitAnalysis
 
-    # each level's PoleReport, which keeps its Ztop, is computed on first use
-    report_up = cached_property(lambda self: classify_poles(self.graph_up))
-    report_down = cached_property(lambda self: classify_poles(self.graph_down))
-
 
 def _scaled_component(comp: Component, e: int, kind: str | None = None) -> Component:
     return replace(
@@ -362,40 +356,34 @@ def _assemble(
         comps_down.append(replace(member, id=orbit.family, label=orbit.family))
         comp_rows.append(ComponentRow(orbit.members, orbit.family, 1, orbit.size))
 
-    # chart origins: recompute downstairs orders from the full chart groups
-    u_act, v_act = chart_actions(setup.germ, p, q)
-    type_u_down = smallify_action(u_act)
-    type_v_down = smallify_action(v_act)
-    u_act_up, v_act_up = chart_actions(PLANE, p, q)
-    type_u_up = smallify_action(u_act_up)
-    type_v_up = smallify_action(v_act_up)
+    # chart origins: recompute downstairs orders from the full chart groups;
+    # upstairs an origin is marked exactly when it is a point of graph_up
+    type_u_down, type_v_down = (smallify_action(a) for a in chart_actions(setup.germ, p, q))
+    up_order = {pt.id: pt.order for pt in graph_up.points}
 
     points_down = []
     point_rows = []
     n_fix = d // e_exc
 
-    def chart_row(tag, type_up, type_down, axis_id, axis_e, x_is_e):
-        up_marked = type_up.m > 1 or axis_id is not None
+    def chart_row(tag, type_down, axis_id, axis_e, x_is_e):
         down_marked = type_down.m > 1 or axis_id is not None
         if down_marked:
-            if x_is_e:
-                points_down.append(oriented_point(tag, type_down, "E", axis_id))
-            else:
-                points_down.append(oriented_point(tag, type_down, axis_id, "E"))
+            x_comp, y_comp = ("E", axis_id) if x_is_e else (axis_id, "E")
+            points_down.append(oriented_point(tag, type_down, x_comp, y_comp))
         point_rows.append(
             PointRow(
-                up_ids=(tag,) if up_marked else (),
+                up_ids=(tag,) if tag in up_order else (),
                 down_id=tag if down_marked else None,
                 n=n_fix,
-                m=type_up.m,
+                m=up_order.get(tag, 1),
                 m_bar=type_down.m,
                 r=1,
                 e_pair=(e_exc, axis_e),
             )
         )
 
-    chart_row("U", type_u_up, type_u_down, "Ly" if up_has_y else None, e2 if up_has_y else 1, True)
-    chart_row("V", type_v_up, type_v_down, "Lx" if up_has_x else None, e1 if up_has_x else 1, False)
+    chart_row("U", type_u_down, "Ly" if up_has_y else None, e2 if up_has_y else 1, True)
+    chart_row("V", type_v_down, "Lx" if up_has_x else None, e1 if up_has_x else 1, False)
 
     for orbit in analysis.orbits:
         m_bar_den = orbit.size * e_exc
@@ -516,7 +504,7 @@ def verify_correspondence(pair: QuotientPair) -> dict:
     down_rupture = "E" in rupture_components(down)
     if down_rupture and not up_rupture:
         s0 = -down.component("E").data.ratio
-        if s0 not in pair.report_up.motivic_poles():
+        if s0 not in classify_poles(up).motivic_poles():
             failures.append(f"rupture component downstairs at {s0}, no motivic pole upstairs")
     degree = d // table.e_exc
     if up_rupture and not down_rupture and degree > 1:
@@ -553,7 +541,7 @@ def compare_levels(pair: QuotientPair, which: str) -> TheoremReport:
     spec = pair.spec_up
     if which == "B" and (spec.axis_x[1] or spec.axis_y[1] or any(b.w for b in spec.branches)):
         return TheoremReport("B", "not-applicable", {"reason": "Wbar is not -B_rho"})
-    up, down = pair.report_up, pair.report_down
+    up, down = classify_poles(pair.graph_up), classify_poles(pair.graph_down)
     if which == "A":
         mot_up, mot_down = up.motivic_poles(), down.motivic_poles()
         contained = set(mot_down) <= set(mot_up)
@@ -588,9 +576,9 @@ def compare_levels(pair: QuotientPair, which: str) -> TheoremReport:
             },
         )
 
-    # Theorem C, on the Ztop each report keeps; the ratio z_down / z_up need
+    # Theorem C, on the Ztop each graph keeps; the ratio z_down / z_up need
     # not split over Q, so the evidence records both sides
-    z_up, z_down = up.ztop, down.ztop
+    z_up, z_down = ztop(pair.graph_up), ztop(pair.graph_down)
     if not all(o.invariant for o in pair.analysis.orbits):
         # z_down / z_up is a constant exactly when z_down is a scalar multiple of z_up
         if z_up.is_zero or z_down.is_zero:

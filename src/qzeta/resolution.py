@@ -177,6 +177,7 @@ class ResolutionGraph:
         )
         object.__setattr__(self, "_poles", {s0: tuple(cs) for s0, cs in poles.items()})
         object.__setattr__(self, "_alphas", {})
+        object.__setattr__(self, "_kept", {})  # zeta.py's values, keyed by function
 
     def component(self, cid: str) -> Component:
         return self._index[cid]

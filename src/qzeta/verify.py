@@ -47,7 +47,7 @@ from .resolution import (
     insert_hj_chains,
     weighted_blowup,
 )
-from .zeta import check_alpha_condition, top_residue, zeta_from_terms, ztop
+from .zeta import check_alpha_condition, classify_poles, top_residue, zeta_from_terms, ztop
 
 
 @dataclass
@@ -97,6 +97,8 @@ def _chain_checks(graph: ResolutionGraph, smooth: ResolutionGraph) -> list[str]:
     problems = []
     if ztop(graph) != ztop(smooth):
         problems.append("ztop not invariant under chain insertion")
+    if classify_poles(graph).motivic_poles() != classify_poles(smooth).motivic_poles():
+        problems.append("motivic pole orders not invariant under chain insertion")
     if not graph.candidate_poles() <= smooth.candidate_poles():
         problems.append("candidate poles not preserved by chain insertion")
     for point in graph.points:
@@ -288,7 +290,7 @@ def _veys_prediction(pair: QuotientPair) -> list[str]:
     order-2 pole, when present, is the closest to the origin."""
     problems = []
     graph = pair.graph_down
-    poles = pair.report_down.ztop.poles()
+    poles = ztop(graph).poles()
     predicted = set()
     for comp in graph.components:
         if comp.data.N == 0:

@@ -10,15 +10,16 @@ with the two linear forms at a point taken from its incident components
 (imaginary curvette (0,1) for a missing incidence).  Every pole is a root
 -nu/N of a known form, so each term splits into partial fractions in closed
 form, and Ztop is the ``RatFunc`` holding their sum; no root finding and no
-multiplying out runs on this path.  A ``PoleReport`` keeps the Ztop whose
-partial fractions give its topological orders and residues; the
-combinatorial classification below decides the motivic side.
+multiplying out runs on this path.  Each graph keeps its Ztop and pole
+report, each computed once; the report reads topological orders and residues
+off Ztop's partial fractions, and motivic orders off the combinatorics below.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import wraps
 
 from .errors import OrderTwo, ZeroAlpha, ZeroDenominatorForm
 from .ratfunc import RatFunc
@@ -73,6 +74,19 @@ def zeta_from_terms(terms) -> RatFunc:
     return RatFunc.from_partial_fractions(*split)
 
 
+def _kept(compute):
+    """``compute(graph)`` computed once and kept on the graph; a raise keeps nothing."""
+
+    @wraps(compute)
+    def once(graph: ResolutionGraph):
+        if compute not in graph._kept:
+            graph._kept[compute] = compute(graph)
+        return graph._kept[compute]
+
+    return once
+
+
+@_kept
 def ztop(graph: ResolutionGraph) -> RatFunc:
     """Exact topological zeta function of the pair carried by the graph,
     factoring each component's form once; a missing incidence is the
@@ -185,7 +199,6 @@ class PoleEntry:
 @dataclass(frozen=True)
 class PoleReport:
     entries: tuple[PoleEntry, ...]
-    ztop: RatFunc  # the zeta function the topological orders are read from
 
     def motivic_poles(self) -> dict[Fraction, int]:
         return {e.s0: e.motivic_order for e in self.entries if e.motivic_order > 0}
@@ -201,6 +214,7 @@ class PoleReport:
         raise KeyError(s0)
 
 
+@_kept
 def classify_poles(graph: ResolutionGraph) -> PoleReport:
     """Pole report across the motivic and topological levels.
 
@@ -211,10 +225,10 @@ def classify_poles(graph: ResolutionGraph) -> PoleReport:
     ones, has no test here: among the realizing components it could only
     close at a point where two of them meet, which is order 2.
 
-    Topological orders and residues are read off Ztop's partial fractions,
-    and the report keeps that Ztop.  Below motivic order 2 the residue, the
-    coefficient of 1/(s - s0), equals :func:`top_residue`, whose
-    ``ZeroAlpha`` cannot fire there: alpha vanishes at a realizing curve
+    Topological orders and residues are read off Ztop's partial fractions.
+    The graph keeps its report, as it keeps its Ztop.  Below motivic order 2
+    the residue, the coefficient of 1/(s - s0), equals :func:`top_residue`,
+    whose ``ZeroAlpha`` cannot fire there: alpha vanishes at a realizing curve
     only against a neighbour realizing s0 (an intersecting pair) or a
     (0, 0) form, which ``ztop`` rejects.
     """
@@ -251,4 +265,4 @@ def classify_poles(graph: ResolutionGraph) -> PoleReport:
         entries.append(
             PoleEntry(s0, top, mot, tuple(witnesses), z.residue(s0) if mot < 2 else None)
         )
-    return PoleReport(tuple(entries), z)
+    return PoleReport(tuple(entries))

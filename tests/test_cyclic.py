@@ -10,7 +10,6 @@ from qzeta import (
     ActionSpec,
     CyclicType,
     HJChain,
-    delta,
     hj_expand,
     normalize_type,
     smallify_action,
@@ -150,12 +149,12 @@ def test_hj_expand_rejects_non_coprime():
 
 def test_delta_conventions():
     chain = hj_expand(2, 1)
-    assert delta(chain, 1, 1) == 2
-    assert delta(chain, 1, 0) == 1
-    assert delta(chain, 1, -1) == 0
-    assert delta(hj_expand(5, 2), 1, 2) == 5
+    assert chain.delta(1, 1) == 2
+    assert chain.delta(1, 0) == 1
+    assert chain.delta(1, -1) == 0
+    assert hj_expand(5, 2).delta(1, 2) == 5
     with pytest.raises(InputError):
-        delta(chain, 1, 5)
+        chain.delta(1, 5)
 
 
 def test_delta_2x2_oracle():

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -217,7 +218,7 @@ def test_ztop_matches_gcd_route_poles_and_residues():
 def test_classify_poles_reads_ztop_split_directly(monkeypatch):
     # the report reads orders and residues off Ztop's partial fractions: it
     # multiplies nothing out and runs no combinatorial residue; neither do
-    # equality, hashing, evaluation and scaling of the Ztop it keeps, nor the
+    # equality, hashing, evaluation and scaling of the graph's Ztop, nor the
     # hodge-euler comparison of Ztop with the Euler specialization
     import random
 
@@ -236,8 +237,10 @@ def test_classify_poles_reads_ztop_split_directly(monkeypatch):
             for graph in (g, insert_hj_chains(g)):
                 report = classify_poles(graph)
                 residues += sum(e.residue is not None for e in report.entries)
-                z = report.ztop
-                assert z == ztop(graph) and hash(z) == hash(ztop(graph))
+                z = ztop(graph)
+                # a graph rebuilt from the same fields splits its own Ztop
+                fresh = ztop(replace(graph))
+                assert fresh is not z and z == fresh and hash(z) == hash(fresh)
                 assert (z * 3).poles() == z.poles() and (z * 0).is_zero
                 assert z.is_zero == (z == 0)
                 z.eval(max(z.poles(), default=0) + 1)
@@ -247,6 +250,59 @@ def test_classify_poles_reads_ztop_split_directly(monkeypatch):
                             z.eval(e.s0)
                 assert z == euler_specialize(hodge_zeta(graph))
     assert residues >= 10
+
+
+def test_ztop_and_report_computed_once_per_graph(monkeypatch):
+    # any mix of ztop and classify_poles calls splits a graph's terms once
+    # and returns the kept objects; the store is not part of the graph's
+    # value, and a call that raises keeps nothing
+    import random
+
+    import qzeta.zeta
+    from qzeta import PLANE, Component, ResolutionGraph
+    from qzeta.verify import _random_graphs
+
+    splits = []
+    split = qzeta.zeta._split
+
+    def counting(terms):
+        splits.append(terms)
+        return split(terms)
+
+    monkeypatch.setattr(qzeta.zeta, "_split", counting)
+    graphs = [g for seed in range(3) for g in _random_graphs(random.Random(seed))]
+    for g in graphs:
+        splits.clear()
+        z, report = ztop(g), classify_poles(g)
+        assert ztop(g) is z and classify_poles(g) is report
+        assert len(splits) == 1
+        rebuilt = replace(g)
+        assert rebuilt == g and hash(rebuilt) == hash(g)
+        assert ztop(rebuilt) is not z and ztop(rebuilt) == z
+        assert classify_poles(rebuilt) is not report and classify_poles(rebuilt) == report
+        assert len(splits) == 2
+    zero = ResolutionGraph(PLANE, (Component("E", "exceptional", NumericalData(0, 0)),), ())
+    for call in (ztop, classify_poles, ztop, classify_poles):
+        with pytest.raises(ZeroDenominatorForm):
+            call(zero)
+        assert not zero._kept
+
+
+def test_hj_invariance_compares_motivic_orders(graph_x4y6, monkeypatch):
+    import qzeta.verify
+    from qzeta.zeta import PoleReport
+
+    smooth = insert_hj_chains(graph_x4y6)
+    assert qzeta.verify._chain_checks(graph_x4y6, smooth) == []
+    # a smooth model whose report lost its motivic poles is caught
+    monkeypatch.setattr(
+        qzeta.verify,
+        "classify_poles",
+        lambda g: PoleReport(()) if g is smooth else classify_poles(g),
+    )
+    assert qzeta.verify._chain_checks(graph_x4y6, smooth) == [
+        "motivic pole orders not invariant under chain insertion"
+    ]
 
 
 def test_alpha_values_computed_once_per_component(monkeypatch):

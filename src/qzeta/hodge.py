@@ -15,14 +15,14 @@ the final P is.
 
 The Euler specialization substitutes uv = 1 + eps, u + v = 2 and extracts
 the constant term of the resulting Laurent series in eps; each denominator
-factor contributes eps * ((nu + N*s) + O(eps)).  A numerator's series
-comes from one expansion (``_num_series``): integer moments of its keys
-folded through the falling-factorial coefficients.  Every Laurent
-coefficient of a term has a power of the term's own forms nu + N*s as
-denominator, so it is split at their roots -nu/N and the result is built
-from its partial fractions.  The terms of ``hodge_zeta`` and
-``hodge_residue`` carry (uv - 1)^k over k factors, so only their
-numerator's coefficient of eps^k is ever needed.
+factor contributes eps * ((nu + N*s) + O(eps)).  The terms of
+``hodge_zeta`` and ``hodge_residue`` carry (uv - 1)^k over k <= 2 factors,
+so only their numerator's coefficient of eps^k is needed: it is read off
+the integer moments of the term's keys, and the term is split at the roots
+-nu/N of its forms in closed form.  Any other term (more factors, or a
+numerator vanishing to a lower order) takes the general route: one
+expansion of its numerator (``_num_series``, on the same moments), the
+Laurent recurrence, and ``partial_fractions`` on each coefficient.
 """
 
 from __future__ import annotations
@@ -252,25 +252,33 @@ def _divide(p: IntPoly, v: tuple[int, int]) -> IntPoly | None:
 # Euler specialization: uv = 1 + eps, u + v = 2, take the constant term
 
 
+def _moments(num, n: int) -> tuple[int, list[list[int]]]:
+    """(q, M) for the monomials ((x, y, g), c) of num, with c 2^g = w/q over
+    integers and M[i][l] = sum w x^(i-l) y^l for i < n."""
+    q = lcm(*[c.denominator for _, c in num])
+    # columns of w x^(i-l) y^l over the monomials, one per l
+    cols = [[c.numerator * (q // c.denominator) << g for (_, _, g), c in num]]
+    moments = [[sum(cols[0])]]
+    xs = [x for (x, _, _), _ in num]
+    ys = [y for (_, y, _), _ in num]
+    for _ in range(1, n):
+        cols = [[w * x for w, x in zip(col, xs)] for col in cols] + [
+            [w * y for w, y in zip(cols[-1], ys)]
+        ]
+        moments.append([sum(col) for col in cols])
+    return q, moments
+
+
 def _num_series(num, n: int, r: int) -> list[Poly]:
     """P_j = sum c 2^g binomial((x + y*s)/r, j) for j < n over the monomials
     ((x, y, g), c) of num: its series under uv = 1 + eps, u + v = 2.
 
-    With c 2^g = w/q over integers, the integer moments
-    M[i][l] = sum w x^(i-l) y^l make the coefficient of s^l in P_j
-    sum_i f(j, i) binomial(i, l) M[i][l] r^(j-i) / (q r^j j!), where f(j, i)
-    is the coefficient of x^i in the falling factorial x (x-1) ... (x-j+1).
+    From the integer moments M of :func:`_moments`, the coefficient of s^l
+    in P_j is sum_i f(j, i) binomial(i, l) M[i][l] r^(j-i) / (q r^j j!),
+    where f(j, i) is the coefficient of x^i in the falling factorial
+    x (x-1) ... (x-j+1).
     """
-    q = 1
-    for _, c in num:
-        q = lcm(q, c.denominator)
-    moments = [[0] * (i + 1) for i in range(n)]
-    for (a, b, g), c in num:
-        row = [c.numerator * (q // c.denominator) << g]
-        for i in range(n):
-            for l, x in enumerate(row):
-                moments[i][l] += x
-            row = [x * a for x in row] + [row[-1] * b]
+    q, moments = _moments(num, n)
     out = []
     falling = [1]
     fact = 1
@@ -289,6 +297,87 @@ def _num_series(num, n: int, r: int) -> list[Poly]:
             falling[i] -= j * falling[i + 1]
         fact *= j + 1
     return out
+
+
+def _add_split(poly: list, parts: dict, coeffs, split: dict) -> None:
+    """Add a polynomial part and a {root: [c1, c2, ...]} split into poly and parts."""
+    poly.extend([ZERO] * (len(coeffs) - len(poly)))
+    for i, c in enumerate(coeffs):
+        poly[i] += c
+    for a, cs in split.items():
+        have = parts.setdefault(a, [])
+        have.extend([ZERO] * (len(cs) - len(have)))
+        for i, c in enumerate(cs):
+            have[i] += c
+
+
+def _closed_split(t: HodgeTerm) -> tuple[list, dict] | None:
+    """The constant term of t = num / prod_k ((uv)^(nu + N*s) - 1) under
+    uv = 1 + eps, u + v = 2, split at the roots -nu/N, for k <= 2 factors
+    and a numerator vanishing to order k; None for any other term.
+
+    With the moments S.. of :func:`_moments`, num vanishes to order 1
+    when S0 = 0 and to order 2 when also Sx = Sy = 0; the constant term is
+    then (Sx + Sy s) / (q (a + b s)) for k = 1 and
+    Q(s) / (2q (a1 + b1 s)(a2 + b2 s)), Q = Sxx + 2 Sxy s + Syy s^2, for
+    k = 2, over the factors (a, b) = (r*nu, r*N).  Every split below is
+    Q's Taylor expansion at a root, with its values put over integers:
+    b^2 Q(-a/b) = Sxx b^2 - 2 Sxy a b + Syy a^2.  A numerator that
+    vanishes beyond order k gives ([], {}).
+    """
+    den = t.den
+    k = len(den)
+    if k > 2:
+        return None
+    q, m = _moments(t.num, k + 1)
+    if k == 0:
+        return ([Fraction(m[0][0], q)] if m[0][0] else []), {}
+    if m[0][0]:
+        return None
+    if k == 1:
+        sx, sy = m[1]
+        if not (sx or sy):
+            return [], {}
+        (a, b), = den
+        if not b:
+            return [Fraction(sx, q * a), Fraction(sy, q * a)], {}
+        return [Fraction(sy, q * b)], {Fraction(-a, b): [Fraction(sx * b - sy * a, q * b * b)]}
+    if m[1][0] or m[1][1]:
+        return None
+    sxx, sxy, syy = m[2]
+    if not (sxx or sxy or syy):
+        return [], {}
+    (a1, b1), (a2, b2) = den
+    d = 2 * q
+
+    def at_root(a, b):  # b^2 Q(-a/b)
+        return sxx * b * b - 2 * sxy * a * b + syy * a * a
+
+    if not (b1 or b2):
+        lead = d * a1 * a2
+        return [Fraction(sxx, lead), Fraction(2 * sxy, lead), Fraction(syy, lead)], {}
+    if not (b1 and b2):
+        # one factor of N = 0: Q(s) / (lead (s - p)) with p = -a/b
+        (a, b), c = ((a1, b1), a2) if b1 else ((a2, b2), a1)
+        lead = d * c * b
+        return (
+            [Fraction(2 * sxy * b - syy * a, lead * b), Fraction(syy, lead)],
+            {Fraction(-a, b): [Fraction(at_root(a, b), lead * b * b)]},
+        )
+    poly = [Fraction(syy, d * b1 * b2)]
+    cross = a2 * b1 - a1 * b2
+    if cross:
+        return poly, {
+            Fraction(-a1, b1): [Fraction(at_root(a1, b1), d * b1 * b1 * cross)],
+            Fraction(-a2, b2): [Fraction(-at_root(a2, b2), d * b2 * b2 * cross)],
+        }
+    # a double root p = -a1/b1: c2 = Q(p)/lead and c1 = Q'(p)/lead, lead = d b1 b2
+    return poly, {
+        Fraction(-a1, b1): [
+            Fraction(sxy * b1 - syy * a1, q * b1 * b1 * b2),
+            Fraction(at_root(a1, b1), d * b1**3 * b2),
+        ]
+    }
 
 
 def _poly_series_mul(a: list[Poly], b: list[Poly], n: int) -> list[Poly]:
@@ -323,63 +412,68 @@ def _laurent_numerators(num: list[Poly], den, depth: int, r: int) -> list[Poly]:
     return rs
 
 
+def _laurent_split(t: HodgeTerm, r: int, orders: dict) -> None:
+    """Add every Laurent order <= 0 of the term t, split at its roots, into
+    orders {order: (polynomial part, {root: [c1, c2, ...]})}."""
+    k = len(t.den)
+    # u0 = prod (a + b*s)/r over the factors (a, b) = (r*nu, r*N)
+    lead = 1
+    roots: dict[Fraction, int] = {}
+    for a, b in t.den:
+        if b:
+            lead *= b
+            root = Fraction(-a, b)
+            roots[root] = roots.get(root, 0) + 1
+        else:
+            lead *= a
+    scale = Fraction(lead, r**k)
+    num_series = _num_series(t.num, k + 1, r)
+    v = next((i for i, p in enumerate(num_series) if not p.is_zero), None)
+    if v is None:
+        return
+    # orders v - k .. 0 need the factor series only up to eps^(k - v)
+    depth = k + 1 - v
+    rs = num_series[v:] if depth == 1 else _laurent_numerators(num_series[v:], t.den, depth, r)
+    for j, rj in enumerate(rs):
+        poly, parts = partial_fractions(
+            rj * (1 / scale ** (j + 1)), {a: m * (j + 1) for a, m in roots.items()}
+        )
+        _add_split(*orders.setdefault(v + j - k, ([], {})), poly.coeffs, parts)
+
+
 def euler_specialize(expr: HodgeExpr) -> RatFunc:
     """Exact limit u, v -> 1 of a Hodge expression, as a rational function in s.
 
     A term with k factors is eps^(-k) times its numerator series num over
     the product unit of the factor series, whose constant term is
-    u0 = prod(nu + N*s).  With v the first nonzero order of num, its
+    u0 = prod(nu + N*s).  Every term :func:`hodge_zeta` and
+    :func:`hodge_residue` build has k <= 2 and a numerator that vanishes to
+    order k, since it carries (uv - 1)^k; its limit is then num[k] / u0,
+    read off the integer moments of its keys and split at the roots -nu/N
+    in closed form (:func:`_closed_split`).  Any other term takes the
+    general Laurent route: with v the first nonzero order of num, its
     coefficient of eps^(v+j-k) is R_j / u0^(j+1), where
-    R_j = num[v+j] u0^j - sum_{l<j} R_l unit[j-l] u0^(j-1-l), for j <= k - v.
-    Every term :func:`hodge_zeta` and :func:`hodge_residue` build has v = k,
-    since its numerator carries (uv - 1)^k: then R_0 = num[k] is the only
-    one, and neither the factor series nor the powers of u0 are built.  Each
-    R_j is split at the roots -nu/N and summed per Laurent order.  Partial
-    fractions are unique, so a negative order vanishes exactly when all its
-    coefficients do; otherwise :class:`IndeterminateLimit` is raised.
+    R_j = num[v+j] u0^j - sum_{l<j} R_l unit[j-l] u0^(j-1-l), for j <= k - v,
+    each R_j split by :func:`partial_fractions`.  The splits are summed per
+    Laurent order.  Partial fractions are unique, so a negative order
+    vanishes exactly when all its coefficients do; otherwise
+    :class:`IndeterminateLimit` is raised.
     """
-    r = expr.r
-    # Laurent order -> [polynomial part, {root: [c1, c2, ...]}]
-    orders: dict[int, list] = {}
+    # Laurent order -> (polynomial part, {root: [c1, c2, ...]})
+    orders: dict[int, tuple[list, dict]] = {0: ([], {})}
     for t in expr.terms:
-        k = len(t.den)
-        # u0 = prod (a + b*s)/r over the factors (a, b) = (r*nu, r*N)
-        lead = 1
-        roots: dict[Fraction, int] = {}
-        for a, b in t.den:
-            if b:
-                lead *= b
-                root = Fraction(-a, b)
-                roots[root] = roots.get(root, 0) + 1
-            elif a:
-                lead *= a
-            else:
-                raise ZeroDenominatorForm("Hodge term with a factor (uv)^0 - 1")
-        scale = Fraction(lead, r**k)
-        num_series = _num_series(t.num, k + 1, r)
-        v = next((i for i, p in enumerate(num_series) if not p.is_zero), None)
-        if v is None:
-            continue
-        # orders v - k .. 0 need the factor series only up to eps^(k - v)
-        depth = k + 1 - v
-        rs = num_series[v:] if depth == 1 else _laurent_numerators(num_series[v:], t.den, depth, r)
-        for j, rj in enumerate(rs):
-            poly, parts = partial_fractions(
-                rj * (1 / scale ** (j + 1)), {a: m * (j + 1) for a, m in roots.items()}
-            )
-            acc = orders.setdefault(v + j - k, [Poly(), {}])
-            if not poly.is_zero:
-                acc[0] = acc[0] + poly
-            for a, cs in parts.items():
-                have = acc[1].setdefault(a, [])
-                have.extend([Fraction(0)] * (len(cs) - len(have)))
-                for i, c in enumerate(cs):
-                    have[i] += c
+        if (0, 0) in t.den:
+            raise ZeroDenominatorForm("Hodge term with a factor (uv)^0 - 1")
+        split = _closed_split(t)
+        if split is None:
+            _laurent_split(t, expr.r, orders)
+        else:
+            _add_split(*orders[0], *split)
     for order in sorted(orders):
         poly, parts = orders[order]
-        if order < 0 and (not poly.is_zero or any(c for cs in parts.values() for c in cs)):
+        if order < 0 and (any(poly) or any(c for cs in parts.values() for c in cs)):
             raise IndeterminateLimit(f"pole of order {-order} in eps survives specialization")
-    return RatFunc.from_partial_fractions(*orders.get(0, (0, {})))
+    return RatFunc.from_partial_fractions(Poly(orders[0][0]), orders[0][1])
 
 
 # ---------------------------------------------------------------------------

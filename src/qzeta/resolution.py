@@ -179,6 +179,11 @@ class ResolutionGraph:
         object.__setattr__(self, "_alphas", {})
         object.__setattr__(self, "_kept", {})  # zeta.py's values, keyed by function
 
+    def __reduce__(self):
+        # rebuilt from its fields: the kept values (mapping proxies, and
+        # dicts keyed by functions) are dropped and computed again on use
+        return type(self), (self.ambient, self.components, self.points)
+
     def component(self, cid: str) -> Component:
         return self._index[cid]
 

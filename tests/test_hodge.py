@@ -678,7 +678,16 @@ def test_hodge_and_ztop_paths_run_no_polynomial_division(monkeypatch):
     def refuse(*_):
         raise AssertionError("polynomial division on a library path")
 
+    def general_route(*_):
+        raise AssertionError("general Laurent route on a library path")
+
     monkeypatch.setattr(Poly, "divmod", refuse)
+    # every hodge_zeta and hodge_residue term is split in closed form
+    monkeypatch.setattr(qzeta.hodge, "partial_fractions", general_route)
+    monkeypatch.setattr(qzeta.hodge, "_num_series", general_route)
+    for expr, _ in _cancelling_cases():
+        with pytest.raises(AssertionError, match="general Laurent route"):
+            euler_specialize(expr)
     residues = 0
     for seed in range(3):
         for g in _random_graphs(random.Random(seed)):
@@ -694,3 +703,103 @@ def test_hodge_and_ztop_paths_run_no_polynomial_division(monkeypatch):
                     assert euler_specialize(hodge_residue(graph, s0)) == res
                     residues += 1
     assert residues >= 10
+
+
+def _times_factors(num, shifts):
+    """num * prod ((uv)^((dx + dy*s)/r) - 1) over integer keys, for shifts (dx, dy)."""
+    for dx, dy in shifts:
+        out = {}
+        for (x, y, g), c in num.items():
+            for key, v in (((x + dx, y + dy, g), c), ((x, y, g), -c)):
+                out[key] = out.get(key, 0) + v
+        num = {key: c for key, c in out.items() if c}
+    return num
+
+
+def test_closed_split_matches_general_route():
+    import random
+
+    from qzeta.errors import IndeterminateLimit, OrderTwo, ZeroAlpha, ZeroDenominatorForm
+    from qzeta.hodge import _closed_split, _laurent_split, _moments
+    from qzeta.verify import _random_graphs
+
+    def general(t, r):
+        orders = {}
+        _laurent_split(t, r, orders)
+        assert set(orders) <= {0}
+        return orders.get(0, ([], {}))
+
+    def agree(t, r):
+        """The closed form of t equals the general route's, root for root."""
+        closed = _closed_split(t)
+        assert closed is not None
+        poly, parts = general(t, r)
+        assert set(closed[1]) == set(parts)
+        z = RatFunc.from_partial_fractions(Poly(closed[0]), closed[1])
+        assert z == RatFunc.from_partial_fractions(Poly(poly), parts)
+        return closed
+
+    def term(num, den):
+        return HodgeTerm(tuple(num.items()), den)
+
+    r = 6
+    m = {(1, 2, 0): Fraction(3, 2), (-4, 1, 1): 2, (0, 0, 0): -1}
+    # k = 0: the constant sum of c 2^g
+    assert agree(term(m, ()), r) == ([Fraction(9, 2)], {})
+    # k = 1 with N != 0 (a constant and one root) and with N = 0 (linear)
+    for shift in ((6, 0), (2, 3)):
+        poly, parts = agree(term(_times_factors(m, [shift]), ((3, 2),)), r)
+        assert len(parts) == 1 and all(parts.values())
+        poly, parts = agree(term(_times_factors(m, [shift]), ((4, 0),)), r)
+        assert not parts and len(poly) == 2
+    two = _times_factors(m, [(1, 1), (2, 3)])
+    _, moments = _moments(tuple(two.items()), 3)
+    assert moments[0] == [0] and moments[1] == [0, 0] and moments[2][2]
+    # k = 2 with distinct roots, then with a double root, twice
+    poly, parts = agree(term(two, ((3, 2), (5, 1))), r)
+    assert len(parts) == 2 and all(cs[0] for cs in parts.values())
+    for den in (((3, 2), (-6, -4)), ((3, 2), (3, 2))):
+        poly, parts = agree(term(two, den), r)
+        assert [len(cs) for cs in parts.values()] == [2] and all(parts[Fraction(-3, 2)])
+    # k = 2 with one N = 0 factor: Syy != 0 gives a linear polynomial part
+    for den in (((3, 2), (4, 0)), ((4, 0), (3, 2))):
+        poly, parts = agree(term(two, den), r)
+        assert len(parts) == 1 and len(poly) == 2 and poly[1]
+    # k = 2 with two N = 0 factors: a quadratic polynomial
+    poly, parts = agree(term(two, ((4, 0), (-2, 0))), r)
+    assert not parts and len(poly) == 3 and poly[2]
+    # a numerator vanishing beyond order k contributes nothing
+    assert agree(term(_times_factors(two, [(6, 0)]), ((3, 2), (5, 1))), r) == ([], {})
+    # an early numerator order or k > 2 factors takes the general route
+    early = [
+        term(m, ((3, 2),)),
+        term(m, ((3, 2), (4, 0))),
+        term(_times_factors(m, [(2, 3)]), ((3, 2), (5, 1))),
+        term(_times_factors(two, [(6, 0)]), ((3, 2), (5, 1), (1, 1))),
+    ]
+    for t in early:
+        assert _closed_split(t) is None
+        if len(t.den) <= 2:
+            with pytest.raises(IndeterminateLimit):
+                euler_specialize(HodgeExpr((t,), r))
+    # a (0, 0) factor raises before any split, after a closed-form term too
+    for den in (((0, 0),), ((3, 2), (0, 0)), ((0, 0), (4, 0))):
+        expr = HodgeExpr((term(two, ((3, 2), (5, 1))), term(two, den)), r)
+        with pytest.raises(ZeroDenominatorForm):
+            euler_specialize(expr)
+    # every term hodge_zeta and hodge_residue build
+    count = 0
+    for seed in (0, 1):
+        for g in _random_graphs(random.Random(seed)):
+            exprs = [hodge_zeta(g), hodge_zeta(insert_hj_chains(g))]
+            for s0 in sorted(g.candidate_poles()):
+                try:
+                    top_residue(g, s0)
+                except (OrderTwo, ZeroAlpha):
+                    continue
+                exprs.append(hodge_residue(g, s0))
+            for expr in exprs:
+                for t in expr.terms:
+                    agree(t, expr.r)
+                    count += 1
+    assert count >= 100

@@ -288,6 +288,26 @@ def test_ztop_and_report_computed_once_per_graph(monkeypatch):
         assert not zero._kept
 
 
+def test_graph_pickles_and_deep_copies_with_kept_values():
+    # a graph that keeps alpha-values, a Ztop and a pole report travels by
+    # its fields alone and computes its values again
+    import copy
+    import pickle
+    import random
+
+    from qzeta.verify import _random_graphs
+
+    for g in _random_graphs(random.Random(0)):
+        z, report = ztop(g), classify_poles(g)
+        for c in g.exceptional:
+            g.alpha_values(c.id)
+        assert g._alphas and g._kept
+        for twin in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g)):
+            assert twin == g and hash(twin) == hash(g)
+            assert not twin._kept
+            assert ztop(twin) == z and classify_poles(twin) == report
+
+
 def test_hj_invariance_compares_motivic_orders(graph_x4y6, monkeypatch):
     import qzeta.verify
     from qzeta.zeta import PoleReport

@@ -58,7 +58,8 @@ class NonSmallAction(InputError):
 
 
 class IndeterminateLimit(QzetaError):
-    """Euler specialization did not cancel negative series orders."""
+    """Euler specialization met a term outside its closed form: more than
+    2 factors, or a numerator vanishing below its factor count."""
 
 
 class MixedOrbitMultiplicity(InputError):

@@ -19,10 +19,9 @@ factor contributes eps * ((nu + N*s) + O(eps)).  The terms of
 ``hodge_zeta`` and ``hodge_residue`` carry (uv - 1)^k over k <= 2 factors,
 so only their numerator's coefficient of eps^k is needed: it is read off
 the integer moments of the term's keys, and the term is split at the roots
--nu/N of its forms in closed form.  Any other term (more factors, or a
-numerator vanishing to a lower order) takes the general route: one
-expansion of its numerator (``_num_series``, on the same moments), the
-Laurent recurrence, and ``partial_fractions`` on each coefficient.
+-nu/N of its forms in closed form.  That is the one route: a term outside
+this form (more factors, or a numerator vanishing to a lower order) raises
+``IndeterminateLimit``.
 """
 
 from __future__ import annotations
@@ -30,15 +29,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import gcd, lcm
 from typing import NamedTuple
 
-from .errors import (
-    IndeterminateLimit,
-    NonSmallAction,
-    ZeroDenominatorForm,
-)
-from .ratfunc import Poly, RatFunc, partial_fractions
+from .errors import IndeterminateLimit, NonSmallAction, ZeroDenominatorForm
+from .ratfunc import Poly, RatFunc
 from .resolution import ResolutionGraph
 from .zeta import residue_alphas
 
@@ -269,36 +264,6 @@ def _moments(num, n: int) -> tuple[int, list[list[int]]]:
     return q, moments
 
 
-def _num_series(num, n: int, r: int) -> list[Poly]:
-    """P_j = sum c 2^g binomial((x + y*s)/r, j) for j < n over the monomials
-    ((x, y, g), c) of num: its series under uv = 1 + eps, u + v = 2.
-
-    From the integer moments M of :func:`_moments`, the coefficient of s^l
-    in P_j is sum_i f(j, i) binomial(i, l) M[i][l] r^(j-i) / (q r^j j!),
-    where f(j, i) is the coefficient of x^i in the falling factorial
-    x (x-1) ... (x-j+1).
-    """
-    q, moments = _moments(num, n)
-    out = []
-    falling = [1]
-    fact = 1
-    for j in range(n):
-        den = q * r**j * fact
-        coeffs = []
-        for l in range(j + 1):
-            x = sum(
-                falling[i] * comb(i, l) * moments[i][l] * r ** (j - i)
-                for i in range(l, j + 1)
-            )
-            coeffs.append(Fraction(x, den) if x else ZERO)
-        out.append(Poly(coeffs))
-        falling = [0, *falling]
-        for i in range(j + 1):
-            falling[i] -= j * falling[i + 1]
-        fact *= j + 1
-    return out
-
-
 def _add_split(poly: list, parts: dict, coeffs, split: dict) -> None:
     """Add a polynomial part and a {root: [c1, c2, ...]} split into poly and parts."""
     poly.extend([ZERO] * (len(coeffs) - len(poly)))
@@ -380,100 +345,37 @@ def _closed_split(t: HodgeTerm) -> tuple[list, dict] | None:
     }
 
 
-def _poly_series_mul(a: list[Poly], b: list[Poly], n: int) -> list[Poly]:
-    out = [Poly() for _ in range(n)]
-    for i, ai in enumerate(a[:n]):
-        if ai.is_zero:
-            continue
-        for j in range(n - i):
-            bj = b[j]
-            if not bj.is_zero:
-                out[i + j] = out[i + j] + ai * bj
-    return out
-
-
-def _laurent_numerators(num: list[Poly], den, depth: int, r: int) -> list[Poly]:
-    """R_0, ..., R_(depth-1) of a term (see :func:`euler_specialize`) from
-    its numerator series num, taken from its first nonzero order on."""
-    # (uv)^(nu + N s) - 1 = eps * sum_(i >= 1) binomial(nu + N s, i) eps^(i-1)
-    unit = [Poly.const(1)] + [Poly()] * (depth - 1)
-    for a, b in den:
-        factor = _num_series((((a, b, 0), 1),), depth + 1, r)[1:]
-        unit = _poly_series_mul(unit, factor, depth)
-    u0 = unit[0]
-    u0_pows = [Poly.const(1)]
-    rs: list[Poly] = []
-    for j in range(depth):
-        rj = num[j] * u0_pows[j]
-        for i, ri in enumerate(rs):
-            rj = rj - ri * unit[j - i] * u0_pows[j - 1 - i]
-        rs.append(rj)
-        u0_pows.append(u0_pows[j] * u0)
-    return rs
-
-
-def _laurent_split(t: HodgeTerm, r: int, orders: dict) -> None:
-    """Add every Laurent order <= 0 of the term t, split at its roots, into
-    orders {order: (polynomial part, {root: [c1, c2, ...]})}."""
-    k = len(t.den)
-    # u0 = prod (a + b*s)/r over the factors (a, b) = (r*nu, r*N)
-    lead = 1
-    roots: dict[Fraction, int] = {}
-    for a, b in t.den:
-        if b:
-            lead *= b
-            root = Fraction(-a, b)
-            roots[root] = roots.get(root, 0) + 1
-        else:
-            lead *= a
-    scale = Fraction(lead, r**k)
-    num_series = _num_series(t.num, k + 1, r)
-    v = next((i for i, p in enumerate(num_series) if not p.is_zero), None)
-    if v is None:
-        return
-    # orders v - k .. 0 need the factor series only up to eps^(k - v)
-    depth = k + 1 - v
-    rs = num_series[v:] if depth == 1 else _laurent_numerators(num_series[v:], t.den, depth, r)
-    for j, rj in enumerate(rs):
-        poly, parts = partial_fractions(
-            rj * (1 / scale ** (j + 1)), {a: m * (j + 1) for a, m in roots.items()}
-        )
-        _add_split(*orders.setdefault(v + j - k, ([], {})), poly.coeffs, parts)
-
-
 def euler_specialize(expr: HodgeExpr) -> RatFunc:
     """Exact limit u, v -> 1 of a Hodge expression, as a rational function in s.
 
-    A term with k factors is eps^(-k) times its numerator series num over
-    the product unit of the factor series, whose constant term is
-    u0 = prod(nu + N*s).  Every term :func:`hodge_zeta` and
-    :func:`hodge_residue` build has k <= 2 and a numerator that vanishes to
-    order k, since it carries (uv - 1)^k; its limit is then num[k] / u0,
-    read off the integer moments of its keys and split at the roots -nu/N
-    in closed form (:func:`_closed_split`).  Any other term takes the
-    general Laurent route: with v the first nonzero order of num, its
-    coefficient of eps^(v+j-k) is R_j / u0^(j+1), where
-    R_j = num[v+j] u0^j - sum_{l<j} R_l unit[j-l] u0^(j-1-l), for j <= k - v,
-    each R_j split by :func:`partial_fractions`.  The splits are summed per
-    Laurent order.  Partial fractions are unique, so a negative order
-    vanishes exactly when all its coefficients do; otherwise
-    :class:`IndeterminateLimit` is raised.
+    A term with k factors is eps^(-k) times its numerator's series over a
+    unit whose constant term is u0 = prod(nu + N*s).  Every term
+    :func:`hodge_zeta` and :func:`hodge_residue` build, and so every term
+    of their sums, differences, scalings and rescales, has k <= 2 and a
+    numerator that vanishes to order k, since it carries (uv - 1)^k; its
+    limit is then num[k] / u0, read off the integer moments of its keys and
+    split at the roots -nu/N in closed form (:func:`_closed_split`), and the
+    splits are summed.  A (0, 0) factor in any term raises
+    :class:`ZeroDenominatorForm` before anything is split.  Any other term
+    (more than 2 factors, or a numerator vanishing below order k) raises
+    :class:`IndeterminateLimit`, even where its poles in eps would cancel
+    against another term's.
     """
-    # Laurent order -> (polynomial part, {root: [c1, c2, ...]})
-    orders: dict[int, tuple[list, dict]] = {0: ([], {})}
     for t in expr.terms:
         if (0, 0) in t.den:
             raise ZeroDenominatorForm("Hodge term with a factor (uv)^0 - 1")
+    poly: list = []
+    parts: dict = {}
+    for t in expr.terms:
         split = _closed_split(t)
         if split is None:
-            _laurent_split(t, expr.r, orders)
-        else:
-            _add_split(*orders[0], *split)
-    for order in sorted(orders):
-        poly, parts = orders[order]
-        if order < 0 and (any(poly) or any(c for cs in parts.values() for c in cs)):
-            raise IndeterminateLimit(f"pole of order {-order} in eps survives specialization")
-    return RatFunc.from_partial_fractions(Poly(orders[0][0]), orders[0][1])
+            k = len(t.den)
+            raise IndeterminateLimit(
+                f"no closed-form limit for a term over {k} factors: more than 2, "
+                f"or a numerator vanishing below order {k}"
+            )
+        _add_split(poly, parts, *split)
+    return RatFunc.from_partial_fractions(Poly(poly), parts)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ from pathlib import Path
 from .errors import InputError
 from .quotient import DownDivisor, QuotientSetup, split_down_spec
 from .resolution import BranchEntry, CClass, DivisorSpec, ResolutionGraph
-from .serialize import INSTANCE_SCHEMA, check_keys, frac_from_str, graph_from_json
+from .serialize import (
+    INSTANCE_SCHEMA, check_keys, frac_from_str, graph_from_json, int_from_json, required,
+)
 
 
 @dataclass(frozen=True)
@@ -43,7 +45,8 @@ def _parse_branches(items, where: str):
             cclass = CClass(label, 0)
         else:
             check_keys(c, {"family", "k"}, f"{where}.branches[{i}].c")
-            cclass = CClass(str(c.get("family", label)), int(c.get("k", 0)))
+            k = int_from_json(c.get("k", 0), f"{where}.branches[{i}].c.k")
+            cclass = CClass(str(c.get("family", label)), k)
         out.append(
             BranchEntry(label, cclass, frac_from_str(b.get("N", 0)), frac_from_str(b.get("w", 0)))
         )
@@ -67,12 +70,14 @@ def load_instance(path: str | Path) -> Instance:
         raise InputError(f"{path}: unsupported schema {doc.get('schema')!r}")
 
     surf = doc.get("surface") or {"kind": "plane"}
-    check_keys(surf, {"kind", "d", "a", "b"}, f"{path}: surface")
+    where = f"{path}: surface"
+    check_keys(surf, {"kind", "d", "a", "b"}, where)
     kind = surf.get("kind")
     if kind == "plane":
         setup = None
     elif kind == "cyclic_quotient":
-        setup = QuotientSetup(int(surf["d"]), int(surf["a"]), int(surf["b"]))
+        d, a, b = (int_from_json(required(surf, k, where), f"{where}.{k}") for k in "dab")
+        setup = QuotientSetup(d, a, b)
     else:
         raise InputError(f"{path}: unknown surface kind {kind!r}")
 
@@ -80,7 +85,10 @@ def load_instance(path: str | Path) -> Instance:
     if mode == "explicit_graph":
         if "graph" not in doc:
             raise InputError(f"{path}: explicit_graph mode requires a graph")
-        graph = graph_from_json(doc["graph"])
+        try:
+            graph = graph_from_json(doc["graph"])
+        except InputError as exc:
+            raise InputError(f"{path}: {exc}") from None
         return Instance(str(path), setup, mode, None, None, graph)
     if mode != "weighted_homogeneous":
         raise InputError(f"{path}: unknown mode {mode!r}")
@@ -92,7 +100,7 @@ def load_instance(path: str | Path) -> Instance:
     pq = div.get("pq", [1, 1])
     if not (isinstance(pq, list) and len(pq) == 2):
         raise InputError(f"{path}: divisor.pq must be a pair")
-    pq = (int(pq[0]), int(pq[1]))
+    pq = tuple(int_from_json(x, f"{path}: divisor.pq") for x in pq)
     axis_x = _parse_axis(div.get("axis_x"), f"{path}: divisor.axis_x")
     axis_y = _parse_axis(div.get("axis_y"), f"{path}: divisor.axis_y")
     branches = _parse_branches(div.get("branches"), f"{path}: divisor")

@@ -17,11 +17,15 @@ W_POOL = [Fraction(x) for x in (-2, 0, 1, 2, 3)] + [
     Fraction(3, 2),
 ]
 NU_POOL = [Fraction(x) for x in (1, 2, 3)] + [Fraction(1, 2), Fraction(3, 2), Fraction(5, 2)]
+DMAX = 12  # largest group order d of a random X(d;a,b)
+MAX_UPSTAIRS_BRANCHES = 6
+MAX_PLANE_BRANCHES = 4
+MAX_ACTION_ORDER = 500
 
 
-def random_setup(rng: random.Random, dmax: int = 12) -> QuotientSetup:
+def random_setup(rng: random.Random) -> QuotientSetup:
     while True:
-        d = rng.randint(1, dmax)
+        d = rng.randint(1, DMAX)
         a = rng.randrange(d) if d > 1 else 0
         b = rng.randrange(d) if d > 1 else 0
         if gcd(gcd(d, a), b) == 1:
@@ -48,7 +52,6 @@ def random_down_pair(
     *,
     wbar_mode: str = "general",
     invariant_only: bool = False,
-    max_upstairs_branches: int = 6,
 ) -> tuple[DownDivisor, DownDivisor]:
     """A random downstairs pair (Dbar, Wbar) presented as coefficient tables.
 
@@ -66,7 +69,7 @@ def random_down_pair(
         else:
             pq = random_pq(rng)
             r = orbit_size(setup, pq)
-            n_orbits = rng.randint(0, max(0, max_upstairs_branches // r))
+            n_orbits = rng.randint(0, max(0, MAX_UPSTAIRS_BRANCHES // r))
         nx, wx = _axis_coeffs(rng)
         ny, wy = _axis_coeffs(rng)
         branches = []
@@ -108,11 +111,11 @@ def _valid_pair(setup: QuotientSetup, dbar: DownDivisor, wbar: DownDivisor) -> b
     return True
 
 
-def random_plane_spec(rng: random.Random, max_branches: int = 4) -> DivisorSpec:
+def random_plane_spec(rng: random.Random) -> DivisorSpec:
     """A random one-blow-up pair on the plane."""
     for _ in range(100):
         pq = random_pq(rng, pmax=8)
-        n = rng.randint(0, max_branches)
+        n = rng.randint(0, MAX_PLANE_BRANCHES)
         nx, wx = _axis_coeffs(rng)
         ny, wy = _axis_coeffs(rng)
         branches = tuple(
@@ -127,24 +130,24 @@ def random_plane_spec(rng: random.Random, max_branches: int = 4) -> DivisorSpec:
     raise RuntimeError("could not draw a plane spec")
 
 
-def random_action_spec(rng: random.Random, max_order: int = 500) -> ActionSpec:
+def random_action_spec(rng: random.Random) -> ActionSpec:
     n = rng.randint(1, 3)
     gens = []
     order = 1
     for _ in range(n):
         m = rng.randint(1, 24)
-        if order * m > max_order:
-            m = max(1, max_order // max(order, 1))
+        if order * m > MAX_ACTION_ORDER:
+            m = max(1, MAX_ACTION_ORDER // max(order, 1))
             m = rng.randint(1, max(1, m))
         order *= m
         gens.append((m, rng.randrange(m) if m > 1 else 0, rng.randrange(m) if m > 1 else 0))
     return ActionSpec(tuple(gens))
 
 
-def random_swapped_setup(rng: random.Random, dmax: int = 12) -> QuotientSetup:
+def random_swapped_setup(rng: random.Random) -> QuotientSetup:
     """X(d;a,b) with 2(b - a) = d: a (1,1) branch orbit has two members."""
     while True:
-        d = 2 * rng.randint(2, dmax // 2)
+        d = 2 * rng.randint(2, DMAX // 2)
         a = rng.randrange(d)
         b = (a + d // 2) % d
         if gcd(gcd(d, a), b) == 1:

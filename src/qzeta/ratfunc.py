@@ -2,16 +2,15 @@
 
 Every ``RatFunc`` is built from its partial fractions at known roots by
 ``RatFunc.from_partial_fractions``: the poles of a zeta function are roots
--nu/N of known linear forms nu + N*s.  ``partial_fractions`` splits
-P / prod (s - a)^m at roots already known, by a Taylor shift at each root,
-so neither a polynomial gcd nor root finding is ever needed; it works on
-coefficient lists with Horner division by s - a, and ``Poly`` stays the
-value type it takes and returns.  A ``RatFunc`` is its partial fractions
-and nothing else: equality, hashing, evaluation and scaling read them,
-``poles`` reads the orders off them and ``residue`` the coefficient of
-1/(s - s0).  The way back is one integer expansion over the primitive
-factors q*s - p of the poles p/q, read by ``render``, ``num`` and ``den``
-and built once per value.
+-nu/N of known linear forms nu + N*s, and the library's callers produce the
+split directly, so neither a polynomial gcd nor root finding is ever
+needed.  A ``RatFunc`` is its partial fractions and nothing else:
+equality, hashing, evaluation and scaling read them, ``poles`` reads the
+orders off them and ``residue`` the coefficient of 1/(s - s0).  The way
+back is one integer expansion over the primitive factors q*s - p of the
+poles p/q, read by ``render``, ``num`` and ``den`` and built once per
+value.  ``Poly`` is the value type of polynomial parts and of ``num`` and
+``den``.
 """
 
 from __future__ import annotations
@@ -376,68 +375,3 @@ def _divide_form(cs: list[int], q: int, p: int) -> list[int]:
         out.append(acc)
     assert cs[0] + p * acc == 0, "q s - p does not divide the integer product"
     return out[::-1]
-
-
-def _monic_product(roots) -> list[Fraction]:
-    """Ascending coefficients of prod (s - a)^m over ``roots`` {a: m}."""
-    out = [Fraction(1)]
-    for a, m in roots.items():
-        for _ in range(m):
-            out = _times_linear(out, a)
-    return out
-
-
-def _times_linear(cs: list[Fraction], a: Fraction) -> list[Fraction]:
-    """The coefficients of cs(s) * (s - a)."""
-    return [-a * cs[0], *(cs[i - 1] - a * cs[i] for i in range(1, len(cs))), cs[-1]]
-
-
-def _horner(cs, a: Fraction) -> tuple[list[Fraction], Fraction]:
-    """(quotient coefficients, remainder) of cs(s) by s - a."""
-    out = []
-    acc = Fraction(0)
-    for c in reversed(cs):
-        out.append(acc)
-        acc = acc * a + c
-    return out[:0:-1], acc
-
-
-def partial_fractions(p: Poly, roots) -> tuple[Poly, dict[Fraction, list[Fraction]]]:
-    """Split p / prod (s - a)^m over ``roots`` {a: m} at those known roots.
-
-    Returns the polynomial part and, at each root a, [c1, ..., cm] with ck
-    the coefficient of 1/(s - a)^k: the arguments of
-    ``RatFunc.from_partial_fractions``.  With the denominator written
-    (s - a)^m g(s) and t = s - a, ck is the coefficient of t^(m-k) in
-    p(a + t) / g(a + t): p(a + t) comes from m Horner divisions by s - a,
-    g(a + t) = prod_{b != a} (t + a - b)^(m_b) is multiplied out to order m,
-    and one short power-series division follows, since g(a) != 0.  A
-    polynomial division runs only to take off a polynomial part.  p need
-    not be reduced against the denominator: trailing zeros then stand in
-    the coefficient lists.
-    """
-    total = sum(roots.values())
-    if len(p.coeffs) <= total:
-        quot = Poly()
-    elif total:
-        quot = p.divmod(Poly(_monic_product(roots)))[0]
-    else:
-        quot = p
-    parts = {}
-    for a, m in roots.items():
-        top = []
-        q = p.coeffs
-        for _ in range(m):
-            q, rem = _horner(q, a)
-            top.append(rem)
-        g = [Fraction(1)]
-        for b, mb in roots.items():
-            if b != a:
-                for _ in range(mb):
-                    g = _times_linear(g, b - a)[:m]
-        g += [Fraction(0)] * (m - len(g))
-        h: list[Fraction] = []
-        for j in range(m):
-            h.append((top[j] - sum(h[i] * g[j - i] for i in range(j))) / g[0])
-        parts[a] = h[::-1]
-    return quot, parts

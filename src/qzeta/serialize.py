@@ -44,6 +44,23 @@ def check_keys(obj: dict, allowed: set[str], where: str) -> None:
         raise InputError(f"{where}: unknown fields {sorted(unknown)}")
 
 
+def required(obj: dict, key: str, where: str):
+    """obj[key] of a field the document must have."""
+    if key not in obj:
+        raise InputError(f"{where}: missing field {key!r}")
+    return obj[key]
+
+
+def int_from_json(x, where: str) -> int:
+    """An integer field, as a JSON integer or a string of one."""
+    try:
+        if isinstance(x, (int, str)) and not isinstance(x, bool):
+            return int(x)
+    except ValueError:
+        pass
+    raise InputError(f"{where}: expected an integer, got {x!r}")
+
+
 def cyclic_to_json(t: CyclicType) -> dict:
     return {
         "m": t.m,
@@ -57,14 +74,9 @@ def cyclic_to_json(t: CyclicType) -> dict:
 
 def cyclic_from_json(obj: dict, where: str = "cyclic_type") -> CyclicType:
     check_keys(obj, {"m", "a", "b", "axis_swap", "e1", "e2"}, where)
-    return CyclicType(
-        int(obj["m"]),
-        int(obj["a"]),
-        int(obj["b"]),
-        bool(obj.get("axis_swap", False)),
-        int(obj.get("e1", 1)),
-        int(obj.get("e2", 1)),
-    )
+    m, a, b = (int_from_json(required(obj, k, where), f"{where}.{k}") for k in "mab")
+    e1, e2 = (int_from_json(obj.get(k, 1), f"{where}.{k}") for k in ("e1", "e2"))
+    return CyclicType(m, a, b, bool(obj.get("axis_swap", False)), e1, e2)
 
 
 def graph_to_json(graph: ResolutionGraph) -> dict:
@@ -106,19 +118,20 @@ def graph_from_json(obj: dict) -> ResolutionGraph:
     if obj.get("schema") != GRAPH_SCHEMA:
         raise InputError(f"unsupported graph schema {obj.get('schema')!r}")
     comps = []
-    for c in obj["components"]:
+    for c in required(obj, "components", "graph"):
+        where = f"component {c.get('id')!r}"
         check_keys(
             c,
             {"id", "kind", "genus", "N", "nu", "log_discrepancy", "label", "self_intersection"},
-            f"component {c.get('id')!r}",
+            where,
         )
         comps.append(
             {
-                "id": c["id"],
-                "kind": c["kind"],
-                "genus": int(c.get("genus", 0)),
-                "N": frac_from_str(c["N"]),
-                "nu": frac_from_str(c["nu"]),
+                "id": required(c, "id", where),
+                "kind": required(c, "kind", where),
+                "genus": int_from_json(c.get("genus", 0), f"{where}.genus"),
+                "N": frac_from_str(required(c, "N", where)),
+                "nu": frac_from_str(required(c, "nu", where)),
                 "log_discrepancy": (
                     frac_from_str(c["log_discrepancy"])
                     if c.get("log_discrepancy") is not None
@@ -134,12 +147,13 @@ def graph_from_json(obj: dict) -> ResolutionGraph:
         )
     points = []
     for p in obj.get("points", []):
-        check_keys(p, {"id", "local_type", "incident"}, f"point {p.get('id')!r}")
+        where = f"point {p.get('id')!r}"
+        check_keys(p, {"id", "local_type", "incident"}, where)
         points.append(
             {
-                "id": p["id"],
-                "local_type": cyclic_from_json(p["local_type"], f"point {p['id']!r}"),
-                "incident": p["incident"],
+                "id": required(p, "id", where),
+                "local_type": cyclic_from_json(required(p, "local_type", where), where),
+                "incident": required(p, "incident", where),
             }
         )
     ambient = cyclic_from_json(obj["ambient"], "ambient") if obj.get("ambient") else None

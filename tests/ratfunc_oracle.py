@@ -4,7 +4,9 @@ The library builds every ``RatFunc`` from partial fractions at known roots.
 This module is the independent route it is checked against: reduce P/Q by
 a Euclidean polynomial gcd and find the poles by rational-root trial
 division.  Residues at simple poles come from the reduced P/Q by the
-usual formula, not from the split.  ``multiply_out`` and ``render`` are the
+usual formula, not from the split.  ``partial_fractions`` splits a
+reduced or unreduced P/Q at roots already known, by a Taylor shift at each
+root in ``Fraction`` arithmetic.  ``multiply_out`` and ``render`` are the
 ``Fraction`` route back from the split that the library's integer
 expansion is checked against.
 """
@@ -14,7 +16,71 @@ from __future__ import annotations
 from fractions import Fraction
 
 from qzeta import Poly, RatFunc
-from qzeta.ratfunc import _horner, _monic_product, partial_fractions
+
+
+def _monic_product(roots) -> list[Fraction]:
+    """Ascending coefficients of prod (s - a)^m over ``roots`` {a: m}."""
+    out = [Fraction(1)]
+    for a, m in roots.items():
+        for _ in range(m):
+            out = _times_linear(out, a)
+    return out
+
+
+def _times_linear(cs: list[Fraction], a: Fraction) -> list[Fraction]:
+    """The coefficients of cs(s) * (s - a)."""
+    return [-a * cs[0], *(cs[i - 1] - a * cs[i] for i in range(1, len(cs))), cs[-1]]
+
+
+def _horner(cs, a: Fraction) -> tuple[list[Fraction], Fraction]:
+    """(quotient coefficients, remainder) of cs(s) by s - a."""
+    out = []
+    acc = Fraction(0)
+    for c in reversed(cs):
+        out.append(acc)
+        acc = acc * a + c
+    return out[:0:-1], acc
+
+
+def partial_fractions(p: Poly, roots) -> tuple[Poly, dict[Fraction, list[Fraction]]]:
+    """Split p / prod (s - a)^m over ``roots`` {a: m} at those known roots.
+
+    Returns the polynomial part and, at each root a, [c1, ..., cm] with ck
+    the coefficient of 1/(s - a)^k: the arguments of
+    ``RatFunc.from_partial_fractions``.  With the denominator written
+    (s - a)^m g(s) and t = s - a, ck is the coefficient of t^(m-k) in
+    p(a + t) / g(a + t): p(a + t) comes from m Horner divisions by s - a,
+    g(a + t) = prod_{b != a} (t + a - b)^(m_b) is multiplied out to order m,
+    and one short power-series division follows, since g(a) != 0.  A
+    polynomial division runs only to take off a polynomial part.  p need
+    not be reduced against the denominator: trailing zeros then stand in
+    the coefficient lists.
+    """
+    total = sum(roots.values())
+    if len(p.coeffs) <= total:
+        quot = Poly()
+    elif total:
+        quot = p.divmod(Poly(_monic_product(roots)))[0]
+    else:
+        quot = p
+    parts = {}
+    for a, m in roots.items():
+        top = []
+        q = p.coeffs
+        for _ in range(m):
+            q, rem = _horner(q, a)
+            top.append(rem)
+        g = [Fraction(1)]
+        for b, mb in roots.items():
+            if b != a:
+                for _ in range(mb):
+                    g = _times_linear(g, b - a)[:m]
+        g += [Fraction(0)] * (m - len(g))
+        h: list[Fraction] = []
+        for j in range(m):
+            h.append((top[j] - sum(h[i] * g[j - i] for i in range(j))) / g[0])
+        parts[a] = h[::-1]
+    return quot, parts
 
 
 def monic(p: Poly) -> Poly:

@@ -143,10 +143,30 @@ def test_invalid_w_coefficient_exits_2(tmp_path, capsys):
     assert main(["resolve", "--input", path]) == 2
 
 
-def test_unknown_field_rejected(tmp_path):
+def test_unknown_field_rejected(tmp_path, capsys):
+    from qzeta import weighted_blowup, PLANE
+    from tests.conftest import cusp_spec
+
     doc = {**PLANE_46, "extra": 1}
     path = write_instance(tmp_path, "bad2.json", doc)
     assert main(["zeta", "--input", path]) == 2
+    capsys.readouterr()
+    # a missing required field or a non-integer integer field is an input
+    # error naming the file and the field, not a traceback
+    graph = graph_to_json(weighted_blowup(PLANE, cusp_spec((3, 2), 3)))
+    del graph["components"][0]["N"]
+    branch = {"label": "c", "N": "1", "w": "0", "c": {"k": "z"}}
+    probes = {
+        "d": {**QUOT_46, "surface": {"kind": "cyclic_quotient", "a": 1, "b": 1}},
+        "pq": {**PLANE_46, "divisor": {**PLANE_46["divisor"], "pq": ["x", 1]}},
+        "N": {**PLANE_46, "mode": "explicit_graph", "graph": graph},
+        "k": {**PLANE_46, "divisor": {**PLANE_46["divisor"], "branches": [branch]}},
+    }
+    for i, (field, doc) in enumerate(probes.items()):
+        path = write_instance(tmp_path, f"probe{i}.json", doc)
+        assert main(["zeta", "--input", path]) == 2, field
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: {path}") and field in line, line
 
 
 def test_bad_json_reports_line(tmp_path, capsys):

@@ -168,7 +168,7 @@ def test_hodge_terms_on_one_integer_lattice(pair_x4y10):
     from math import lcm
 
     import hodge_oracle
-    from qzeta.errors import OrderTwo, ZeroAlpha
+    from qzeta.errors import IndeterminateLimit, OrderTwo, ZeroAlpha
     from qzeta.verify import _random_graphs
     from qzeta.zeta import residue_alphas
 
@@ -235,9 +235,19 @@ def test_hodge_terms_on_one_integer_lattice(pair_x4y10):
         assert hodge_oracle.cleared_numerator(total) == hodge_oracle.cleared_numerator(
             lattice(fraction_terms(a) + fraction_terms(b))
         )
-    assert euler_specialize(one(2, 1) + one(3, -1)) == RatFunc.zero()
-    assert euler_specialize(one(2, 1) + one(3, -2)) == RatFunc.const(-1)
-    assert euler_specialize(fifth + one(7, 1)) == ratfunc(Poly([35, 1]), Poly([5, 1]))
+    # each term of the two-term one(n, c) has a pole in eps, so
+    # euler_specialize refuses it although the poles cancel; the same value
+    # written as one term vanishes to order 1
+    with pytest.raises(IndeterminateLimit):
+        euler_specialize(one(2, 1) + one(3, -1))
+
+    def one_term(n, c):
+        return lattice([({(Fraction(1, n), 0, 0): c, (0, 0, 0): -c}, [(0, Fraction(1, n))])])
+
+    assert one_term(2, 1) == one(2, 1)
+    assert euler_specialize(one_term(2, 1) + one_term(3, -1)) == RatFunc.zero()
+    assert euler_specialize(one_term(2, 1) + one_term(3, -2)) == RatFunc.const(-1)
+    assert euler_specialize(fifth + one_term(7, 1)) == ratfunc(Poly([35, 1]), Poly([5, 1]))
 
 
 def test_is_zero_drops_cancelled_groups(monkeypatch):
@@ -270,12 +280,11 @@ def test_is_zero_drops_cancelled_groups(monkeypatch):
     assert {"_times_factor", "_divide"} <= set(calls)
 
 
-def test_intersection_points_count_per_point():
-    # H(E_i n E_j) = number of intersection points: each marked point
-    # contributes its own term, so a double intersection doubles the factor
+def _cycle_graph():
+    """Two exceptional curves meeting at two points: a cycle."""
     from qzeta import graph_from_spec
 
-    cycle = graph_from_spec(
+    return graph_from_spec(
         {
             "components": [
                 {"id": "E1", "kind": "exceptional", "N": 1, "nu": 1},
@@ -287,6 +296,12 @@ def test_intersection_points_count_per_point():
             ],
         }
     )
+
+
+def test_intersection_points_count_per_point():
+    # H(E_i n E_j) = number of intersection points: each marked point
+    # contributes its own term, so a double intersection doubles the factor
+    cycle = _cycle_graph()
     expr = hodge_zeta(cycle)
     pair_terms = [t for t in expr.terms if len(t.den) == 2]
     assert len(pair_terms) == 2
@@ -332,11 +347,12 @@ def _doubled(expr):
 
 
 def _cancelling_cases():
-    """(expr, expected) with negative Laurent orders that cancel only across terms.
+    """(expr, limit) with negative Laurent orders that cancel only across terms.
 
-    Every term's numerator vanishes to an order v below its k factors, so
-    euler_specialize runs its R_j recurrence to j = k - v >= 1; each case
-    comes once over a shared denominator and once with a doubled factor.
+    Every term's numerator vanishes to an order v below its k factors, and
+    some terms have k = 3 factors; each case comes once over a shared
+    denominator and once with a doubled factor.  The limit exists, but no
+    term is in the closed form euler_specialize computes.
     """
     six = {(Fraction(1, 2), Fraction(1), 1): Fraction(3)}  # 3 (uv)^(1/2+s) (u+v) -> 6
     cases = [
@@ -354,13 +370,67 @@ def _cancelling_cases():
 
 
 def test_euler_negative_orders_cancel_across_terms():
+    # terms outside the closed form raise, even where their poles in eps
+    # cancel across terms (the sympy series test checks each limit exists)
     from qzeta.errors import IndeterminateLimit
+    from qzeta.hodge import _closed_split
 
-    for expr, expected in _cancelling_cases():
-        assert euler_specialize(expr) == expected
+    for expr, _limit in _cancelling_cases():
+        assert all(_closed_split(t) is None for t in expr.terms)
+        with pytest.raises(IndeterminateLimit, match=f"over {len(expr.terms[0].den)} factors"):
+            euler_specialize(expr)
         # one term alone keeps its pole in eps
         with pytest.raises(IndeterminateLimit):
             euler_specialize(HodgeExpr(expr.terms[1:], expr.r))
+
+
+def _times_factors(num, shifts):
+    """num * prod ((uv)^((dx + dy*s)/r) - 1) over integer keys, for shifts (dx, dy)."""
+    for dx, dy in shifts:
+        out = {}
+        for (x, y, g), c in num.items():
+            for key, v in (((x + dx, y + dy, g), c), ((x, y, g), -c)):
+                out[key] = out.get(key, 0) + v
+        num = {key: c for key, c in out.items() if c}
+    return num
+
+
+def _term(num, den):
+    return HodgeTerm(tuple(num.items()), den)
+
+
+# hand-built terms on the scale 6: M's c 2^g sum to 9/2, so M vanishes to
+# order 0, and M times two factors to order 2
+BRANCH_SCALE = 6
+M6 = {(1, 2, 0): Fraction(3, 2), (-4, 1, 1): 2, (0, 0, 0): -1}
+M6_TWO = _times_factors(M6, [(1, 1), (2, 3)])
+
+
+def _branch_cases():
+    """{branch of _closed_split: terms that take it}."""
+    one = [_times_factors(M6, [shift]) for shift in ((6, 0), (2, 3))]
+    return {
+        "k = 0": [_term(M6, ())],
+        "k = 1": [_term(num, ((3, 2),)) for num in one],
+        "k = 1, N = 0": [_term(num, ((4, 0),)) for num in one],
+        "k = 2": [_term(M6_TWO, ((3, 2), (5, 1)))],
+        "k = 2, double root": [_term(M6_TWO, den) for den in (((3, 2), (-6, -4)), ((3, 2), (3, 2)))],
+        "k = 2, one N = 0": [_term(M6_TWO, den) for den in (((3, 2), (4, 0)), ((4, 0), (3, 2)))],
+        "k = 2, two N = 0": [_term(M6_TWO, ((4, 0), (-2, 0)))],
+        "beyond k": [_term(_times_factors(M6_TWO, [(6, 0)]), ((3, 2), (5, 1)))],
+    }
+
+
+def _outside_terms():
+    """Terms outside the closed form: a numerator vanishing below k (a pole
+    in eps), and k = 3 factors over a numerator vanishing to order 3 (a
+    limit)."""
+    return [
+        _term(M6, ((3, 2),)),
+        _term(M6, ((3, 2), (4, 0))),
+        _term(_times_factors(M6, [(2, 3)]), ((3, 2), (5, 1))),
+        _term(_times_factors(M6_TWO, [(6, 0)]), ((3, 2), (5, 1), (1, 1))),
+    ]
 
 
 def _sympy_laurent(expr, sympy):
@@ -404,6 +474,15 @@ def _sympy_laurent(expr, sympy):
     return orders, F, s
 
 
+def _sympy_value(z, sympy, F, s):
+    """The RatFunc z in sympy's field F = Q(s)."""
+    num, den = (
+        sum((sympy.QQ(c.numerator, c.denominator) * s**i for i, c in enumerate(p.coeffs)), F.zero)
+        for p in (z.num, z.den)
+    )
+    return num / den
+
+
 def test_euler_specialize_agrees_with_sympy_series():
     sympy = pytest.importorskip("sympy")
     import random
@@ -411,8 +490,10 @@ def test_euler_specialize_agrees_with_sympy_series():
     from qzeta.errors import IndeterminateLimit, OrderTwo, ZeroAlpha
     from qzeta.verify import _random_graphs
 
-    exprs = [e for e, _ in _cancelling_cases()]
-    exprs += [HodgeExpr(e.terms[1:], e.r) for e in exprs]
+    # every closed-form branch, and single terms with a pole in eps
+    hand = [t for ts in _branch_cases().values() for t in ts] + _outside_terms()[:3]
+    exprs = [HodgeExpr((t,), BRANCH_SCALE) for t in hand]
+    exprs += [HodgeExpr(e.terms[1:], e.r) for e, _ in _cancelling_cases()]
     for g in _random_graphs(random.Random(11)):
         exprs += [hodge_zeta(g), hodge_zeta(insert_hj_chains(g))]
         for s0 in sorted(g.candidate_poles()):
@@ -427,12 +508,16 @@ def test_euler_specialize_agrees_with_sympy_series():
             with pytest.raises(IndeterminateLimit):
                 euler_specialize(expr)
             continue
-        z = euler_specialize(expr)
-        num, den = (
-            sum((sympy.QQ(c.numerator, c.denominator) * s**i for i, c in enumerate(p.coeffs)), F.zero)
-            for p in (z.num, z.den)
-        )
-        assert num / den == orders.get(0, F.zero)
+        assert _sympy_value(euler_specialize(expr), sympy, F, s) == orders.get(0, F.zero)
+    # terms outside the closed form raise even where the limit exists
+    outside = _cancelling_cases() + [(HodgeExpr((_outside_terms()[3],), BRANCH_SCALE), None)]
+    for expr, limit in outside:
+        orders, F, s = _sympy_laurent(expr, sympy)
+        assert not any(c for o, c in orders.items() if o < 0)
+        if limit is not None:
+            assert orders.get(0, F.zero) == _sympy_value(limit, sympy, F, s)
+        with pytest.raises(IndeterminateLimit):
+            euler_specialize(expr)
 
 
 def test_top_and_hodge_residues_raise_alike():
@@ -594,83 +679,29 @@ def test_largest_hodge_euler_draw_is_fast():
     assert time.perf_counter() - start < 2.0
 
 
-def test_num_series_matches_direct_binomials():
-    # P_j = sum c 2^g binomial(A + B s, j), each taken at three rational s
-    # as a plain falling product over j!
-    import random
-    from math import factorial
-
-    from qzeta.hodge import _num_series
-
-    rng = random.Random(3)
-
-    def frac():
-        return Fraction(rng.randint(-12, 12), rng.choice((1, 2, 3, 5, 6)))
-
-    def direct(num, j, s):
-        total = Fraction(0)
-        for (A, B, g), c in num.items():
-            x = A + B * s
-            prod = Fraction(1)
-            for i in range(j):
-                prod *= x - i
-            total += c * 2**g * prod
-        return total / factorial(j)
-
-    for n in range(1, 7):
-        for case in range(8):
-            num = {}
-            for _ in range(rng.randint(1, 4)):
-                key = (frac(), frac(), rng.randint(0, 2))
-                num[key] = num.get(key, 0) + frac()
-            if case % 4 == 1:
-                # c (uv)^M - c/2 (uv)^M (u+v) vanishes under u + v = 2
-                (A, B, _), c = next(iter(num.items()))
-                num[(A, B, 1)] = num.get((A, B, 1), 0) - c / 2
-                num[(A, B, 0)] = num.get((A, B, 0), 0) + c
-            elif case % 4 == 2:
-                # times (uv - 1)^2: P_0 and P_1 vanish and P_2 is constant
-                sq = {}
-                for (A, B, g), c in num.items():
-                    for shift, k in ((2, 1), (1, -2), (0, 1)):
-                        sq[(A + shift, B, g)] = sq.get((A + shift, B, g), 0) + k * c
-                num = sq
-            elif case % 4 == 3:
-                # each monomial cancelled by -1/2 its (u+v) multiple
-                cancel = dict(num)
-                for (A, B, g), c in num.items():
-                    cancel[(A, B, g + 1)] = cancel.get((A, B, g + 1), 0) - c / 2
-                num = cancel
-            expr = lattice([(num, [])])
-            series = _num_series(expr.terms[0].num, n, expr.r)
-            assert len(series) == n
-            for j, p in enumerate(series):
-                assert p.degree <= j
-                for s in (Fraction(-7, 3), Fraction(0), Fraction(5, 2)):
-                    assert p.eval(s) == direct(num, j, s)
-            if case % 4 == 2 and n >= 3:
-                assert series[0].is_zero and series[1].is_zero and series[2].degree <= 0
-            if case % 4 == 3:
-                assert all(p.is_zero for p in series)
-
-
 def test_hodge_and_ztop_paths_run_no_polynomial_division(monkeypatch):
     import random
 
     import qzeta.hodge
+    import qzeta.ratfunc
     import qzeta.zeta
     from qzeta import classify_poles
     from qzeta.errors import OrderTwo, ZeroAlpha
-    from qzeta.hodge import SFactor
+    from qzeta.hodge import SFactor, _closed_split
     from qzeta.verify import _random_graphs
 
-    # the per-term Poly and dict products and the dead cycle clause are gone
-    # and so are the Fraction-keyed monomial helpers
+    # the per-term Poly and dict products and the dead cycle clause are gone,
+    # so are the Fraction-keyed monomial helpers, and so is the general
+    # Laurent route with the partial-fraction kernels only it used
     for name in (
         "_dict_mul", "_dict_add", "UV_MINUS_1", "_binom_polys",
         "Monomial", "MonoDict", "_mono_mul", "_integer_scales", "UV", "ONE", "UPLUSV",
+        "_num_series", "_poly_series_mul", "_laurent_numerators", "_laurent_split",
+        "partial_fractions", "comb",
     ):
         assert not hasattr(qzeta.hodge, name), name
+    for name in ("partial_fractions", "_monic_product", "_times_linear", "_horner"):
+        assert not hasattr(qzeta.ratfunc, name), name
     assert not hasattr(SFactor, "num_dict")
     assert not hasattr(HodgeTerm, "num_dict")
     assert not hasattr(qzeta.zeta, "_exceptional_cycle")
@@ -678,115 +709,100 @@ def test_hodge_and_ztop_paths_run_no_polynomial_division(monkeypatch):
     def refuse(*_):
         raise AssertionError("polynomial division on a library path")
 
-    def general_route(*_):
-        raise AssertionError("general Laurent route on a library path")
-
     monkeypatch.setattr(Poly, "divmod", refuse)
-    # every hodge_zeta and hodge_residue term is split in closed form
-    monkeypatch.setattr(qzeta.hodge, "partial_fractions", general_route)
-    monkeypatch.setattr(qzeta.hodge, "_num_series", general_route)
-    for expr, _ in _cancelling_cases():
-        with pytest.raises(AssertionError, match="general Laurent route"):
-            euler_specialize(expr)
-    residues = 0
+    graphs = [_cycle_graph()]
     for seed in range(3):
         for g in _random_graphs(random.Random(seed)):
-            for graph in (g, insert_hj_chains(g)):
-                z = ztop(graph)
-                classify_poles(graph)
-                assert euler_specialize(hodge_zeta(graph)) == z
-                for s0 in sorted(graph.candidate_poles()):
-                    try:
-                        res = top_residue(graph, s0)
-                    except (OrderTwo, ZeroAlpha):
-                        continue
-                    assert euler_specialize(hodge_residue(graph, s0)) == res
-                    residues += 1
-    assert residues >= 10
-
-
-def _times_factors(num, shifts):
-    """num * prod ((uv)^((dx + dy*s)/r) - 1) over integer keys, for shifts (dx, dy)."""
-    for dx, dy in shifts:
-        out = {}
-        for (x, y, g), c in num.items():
-            for key, v in (((x + dx, y + dy, g), c), ((x, y, g), -c)):
-                out[key] = out.get(key, 0) + v
-        num = {key: c for key, c in out.items() if c}
-    return num
+            graphs += [g, insert_hj_chains(g)]
+    residues = terms = 0
+    for graph in graphs:
+        z = ztop(graph)
+        classify_poles(graph)
+        h = hodge_zeta(graph)
+        assert euler_specialize(h) == z
+        exprs = [h]
+        for s0 in sorted(graph.candidate_poles()):
+            try:
+                res = top_residue(graph, s0)
+            except (OrderTwo, ZeroAlpha):
+                continue
+            witness = hodge_residue(graph, s0)
+            assert euler_specialize(witness) == res
+            exprs.append(witness)
+            residues += 1
+        # every term of these, and of their sums, differences, scalings and
+        # lattice rescales, is split in closed form
+        exprs += [h + exprs[-1], h - exprs[-1], h.scale(Fraction(-3, 2))]
+        exprs += [HodgeExpr(e._terms_on(3 * e.r), 3 * e.r) for e in exprs]
+        for expr in exprs:
+            for t in expr.terms:
+                assert _closed_split(t) is not None
+                terms += 1
+    assert residues >= 10 and terms >= 1000
 
 
 def test_closed_split_matches_general_route():
+    # the general route is sympy's series expansion of the term
+    sympy = pytest.importorskip("sympy")
     import random
 
     from qzeta.errors import IndeterminateLimit, OrderTwo, ZeroAlpha, ZeroDenominatorForm
-    from qzeta.hodge import _closed_split, _laurent_split, _moments
+    from qzeta.hodge import _closed_split, _moments
     from qzeta.verify import _random_graphs
 
-    def general(t, r):
-        orders = {}
-        _laurent_split(t, r, orders)
-        assert set(orders) <= {0}
-        return orders.get(0, ([], {}))
-
     def agree(t, r):
-        """The closed form of t equals the general route's, root for root."""
+        """The closed form of t equals the constant term of its series,
+        which has no negative order."""
         closed = _closed_split(t)
         assert closed is not None
-        poly, parts = general(t, r)
-        assert set(closed[1]) == set(parts)
+        orders, F, s = _sympy_laurent(HodgeExpr((t,), r), sympy)
+        assert not any(c for o, c in orders.items() if o < 0)
         z = RatFunc.from_partial_fractions(Poly(closed[0]), closed[1])
-        assert z == RatFunc.from_partial_fractions(Poly(poly), parts)
+        assert _sympy_value(z, sympy, F, s) == orders.get(0, F.zero)
         return closed
 
-    def term(num, den):
-        return HodgeTerm(tuple(num.items()), den)
-
-    r = 6
-    m = {(1, 2, 0): Fraction(3, 2), (-4, 1, 1): 2, (0, 0, 0): -1}
+    r = BRANCH_SCALE
+    cases = _branch_cases()
     # k = 0: the constant sum of c 2^g
-    assert agree(term(m, ()), r) == ([Fraction(9, 2)], {})
+    assert [agree(t, r) for t in cases["k = 0"]] == [([Fraction(9, 2)], {})]
     # k = 1 with N != 0 (a constant and one root) and with N = 0 (linear)
-    for shift in ((6, 0), (2, 3)):
-        poly, parts = agree(term(_times_factors(m, [shift]), ((3, 2),)), r)
+    for t in cases["k = 1"]:
+        poly, parts = agree(t, r)
         assert len(parts) == 1 and all(parts.values())
-        poly, parts = agree(term(_times_factors(m, [shift]), ((4, 0),)), r)
+    for t in cases["k = 1, N = 0"]:
+        poly, parts = agree(t, r)
         assert not parts and len(poly) == 2
-    two = _times_factors(m, [(1, 1), (2, 3)])
-    _, moments = _moments(tuple(two.items()), 3)
+    _, moments = _moments(tuple(M6_TWO.items()), 3)
     assert moments[0] == [0] and moments[1] == [0, 0] and moments[2][2]
     # k = 2 with distinct roots, then with a double root, twice
-    poly, parts = agree(term(two, ((3, 2), (5, 1))), r)
-    assert len(parts) == 2 and all(cs[0] for cs in parts.values())
-    for den in (((3, 2), (-6, -4)), ((3, 2), (3, 2))):
-        poly, parts = agree(term(two, den), r)
+    for t in cases["k = 2"]:
+        poly, parts = agree(t, r)
+        assert len(parts) == 2 and all(cs[0] for cs in parts.values())
+    for t in cases["k = 2, double root"]:
+        poly, parts = agree(t, r)
         assert [len(cs) for cs in parts.values()] == [2] and all(parts[Fraction(-3, 2)])
     # k = 2 with one N = 0 factor: Syy != 0 gives a linear polynomial part
-    for den in (((3, 2), (4, 0)), ((4, 0), (3, 2))):
-        poly, parts = agree(term(two, den), r)
+    for t in cases["k = 2, one N = 0"]:
+        poly, parts = agree(t, r)
         assert len(parts) == 1 and len(poly) == 2 and poly[1]
     # k = 2 with two N = 0 factors: a quadratic polynomial
-    poly, parts = agree(term(two, ((4, 0), (-2, 0))), r)
-    assert not parts and len(poly) == 3 and poly[2]
+    for t in cases["k = 2, two N = 0"]:
+        poly, parts = agree(t, r)
+        assert not parts and len(poly) == 3 and poly[2]
     # a numerator vanishing beyond order k contributes nothing
-    assert agree(term(_times_factors(two, [(6, 0)]), ((3, 2), (5, 1))), r) == ([], {})
-    # an early numerator order or k > 2 factors takes the general route
-    early = [
-        term(m, ((3, 2),)),
-        term(m, ((3, 2), (4, 0))),
-        term(_times_factors(m, [(2, 3)]), ((3, 2), (5, 1))),
-        term(_times_factors(two, [(6, 0)]), ((3, 2), (5, 1), (1, 1))),
-    ]
-    for t in early:
+    assert [agree(t, r) for t in cases["beyond k"]] == [([], {})]
+    # an early numerator order or k > 2 factors is outside the closed form
+    for t in _outside_terms():
         assert _closed_split(t) is None
-        if len(t.den) <= 2:
-            with pytest.raises(IndeterminateLimit):
-                euler_specialize(HodgeExpr((t,), r))
-    # a (0, 0) factor raises before any split, after a closed-form term too
-    for den in (((0, 0),), ((3, 2), (0, 0)), ((0, 0), (4, 0))):
-        expr = HodgeExpr((term(two, ((3, 2), (5, 1))), term(two, den)), r)
-        with pytest.raises(ZeroDenominatorForm):
-            euler_specialize(expr)
+        with pytest.raises(IndeterminateLimit, match=f"over {len(t.den)} factors"):
+            euler_specialize(HodgeExpr((t,), r))
+    # a (0, 0) factor raises before any split, after a closed-form term and
+    # after a term outside the closed form
+    for head in (cases["k = 2"][0], _outside_terms()[0]):
+        for den in (((0, 0),), ((3, 2), (0, 0)), ((0, 0), (4, 0))):
+            expr = HodgeExpr((head, _term(M6_TWO, den)), r)
+            with pytest.raises(ZeroDenominatorForm):
+                euler_specialize(expr)
     # every term hodge_zeta and hodge_residue build
     count = 0
     for seed in (0, 1):

@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 from .errors import IndeterminateLimit, NonSmallAction, ZeroDenominatorForm
 from .ratfunc import Poly, RatFunc
-from .resolution import ResolutionGraph
+from .resolution import ResolutionGraph, _on_lattice
 from .zeta import residue_alphas
 
 ZERO = Fraction(0)
@@ -50,11 +50,6 @@ IntPoly = dict[tuple[int, int, int], int]
 class HodgeTerm(NamedTuple):
     num: tuple[tuple[tuple[int, int, int], int | Fraction], ...]
     den: tuple[tuple[int, int], ...]  # factors (uv)^(nu + N*s) - 1 as (r*nu, r*N)
-
-
-def _on_lattice(x: Fraction, r: int) -> int:
-    """r * x, for r a multiple of x's denominator."""
-    return x.numerator * (r // x.denominator)
 
 
 @dataclass(frozen=True)

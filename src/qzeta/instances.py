@@ -32,24 +32,24 @@ def _parse_axis(obj, where: str):
     if obj is None:
         return (frac_from_str(0), frac_from_str(0))
     check_keys(obj, {"N", "w"}, where)
-    return (frac_from_str(obj.get("N", 0)), frac_from_str(obj.get("w", 0)))
+    return tuple(frac_from_str(obj.get(k, 0), f"{where}.{k}") for k in ("N", "w"))
 
 
 def _parse_branches(items, where: str):
     out = []
     for i, b in enumerate(items or []):
-        check_keys(b, {"label", "N", "w", "c"}, f"{where}.branches[{i}]")
+        here = f"{where}.branches[{i}]"
+        check_keys(b, {"label", "N", "w", "c"}, here)
         label = str(b.get("label", f"b{i}"))
         c = b.get("c")
         if c is None:
             cclass = CClass(label, 0)
         else:
-            check_keys(c, {"family", "k"}, f"{where}.branches[{i}].c")
-            k = int_from_json(c.get("k", 0), f"{where}.branches[{i}].c.k")
+            check_keys(c, {"family", "k"}, f"{here}.c")
+            k = int_from_json(c.get("k", 0), f"{here}.c.k")
             cclass = CClass(str(c.get("family", label)), k)
-        out.append(
-            BranchEntry(label, cclass, frac_from_str(b.get("N", 0)), frac_from_str(b.get("w", 0)))
-        )
+        N, w = (frac_from_str(b.get(k, 0), f"{here}.{k}") for k in ("N", "w"))
+        out.append(BranchEntry(label, cclass, N, w))
     return tuple(out)
 
 

@@ -416,7 +416,8 @@ def _assemble(
 def _with_forced_axes(
     graph_up: ResolutionGraph, spec_up: DivisorSpec, e1: int, e2: int
 ) -> ResolutionGraph:
-    """Add ramification axes absent from supp(D) u supp(W) as (0,1) components."""
+    """Add ramification axes absent from supp(D) u supp(W) as (0,1) components;
+    ``graph_up`` itself when none is added."""
     comps = list(graph_up.components)
     points = list(graph_up.points)
     have = {c.id for c in comps}
@@ -430,6 +431,8 @@ def _with_forced_axes(
             Component("Ly", "branch_curve", NumericalData(0, 1), label="{y=0}")
         )
         points = _attach_axis(points, "Ly", at_u=True)
+    if len(comps) == len(graph_up.components):
+        return graph_up  # keeps the alpha-values its construction computed
     return ResolutionGraph(graph_up.ambient, tuple(comps), tuple(points))
 
 

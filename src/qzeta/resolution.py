@@ -7,6 +7,12 @@ points carrying oriented small cyclic local types.  A point's ``incident``
 list is ordered so that its first entry is the component locally cut out by
 the first coordinate of the local type.
 
+Each graph fixes one integer scale r when it is built, the lcm of the
+denominators of every component's N and nu, and keeps each component's
+integer vector (n, v) = (r*N, r*nu).  Alpha-values, the topological zeta
+function's split, residues and Hirzebruch-Jung chain data are computed on
+these vectors, one ``Fraction`` per output value.
+
 Automatic construction covers divisors resolved by a single (p,q)-weighted
 blow-up: axes {x=0}, {y=0} plus branches y^p = c x^q with pairwise distinct
 nonzero c.  Anything else enters through :func:`graph_from_spec`.
@@ -16,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from types import MappingProxyType
 
 from .cyclic import PLANE, ActionSpec, CyclicType, HJChain, hj_expand, smallify_action
@@ -32,6 +38,11 @@ from .errors import (
 
 def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _on_lattice(x: Fraction, r: int) -> int:
+    """r * x, for r a multiple of x's denominator."""
+    return x.numerator * (r // x.denominator)
 
 
 @dataclass(frozen=True)
@@ -61,9 +72,6 @@ class NumericalData:
     @property
     def is_zero_form(self) -> bool:
         return self.N == 0 and self.nu == 0
-
-    def __add__(self, other: "NumericalData") -> "NumericalData":
-        return NumericalData(self.N + other.N, self.nu + other.nu)
 
     def scale(self, c) -> "NumericalData":
         c = _frac(c)
@@ -167,10 +175,16 @@ class ResolutionGraph:
                 if cid not in index:
                     raise InputError(f"point {p.id!r} references unknown component {cid!r}")
                 incidence[cid].append(p)
+        r = lcm(*[x.denominator for c in self.components for x in (c.data.N, c.data.nu)])
+        vec = {c.id: (_on_lattice(c.data.N, r), _on_lattice(c.data.nu, r)) for c in self.components}
         poles: dict[Fraction, list[Component]] = {}
         for c in self.components:
-            if c.data.N != 0:
-                poles.setdefault(-c.data.ratio, []).append(c)
+            n, v = vec[c.id]
+            if n:
+                poles.setdefault(Fraction(-v, n), []).append(c)
+        # the scale r and the vectors (r*N, r*nu), keyed by component id
+        object.__setattr__(self, "_r", r)
+        object.__setattr__(self, "_vec", vec)
         object.__setattr__(self, "_index", index)
         object.__setattr__(
             self, "_incidence", {cid: tuple(ps) for cid, ps in incidence.items()}
@@ -223,21 +237,21 @@ class ResolutionGraph:
         """alpha-value of every marked point on the component ``cid``.
 
         For P on E_i of order m: (nu_j - (nu_i/N_i) N_j)/m against the other
-        incident component (imaginary curvette (0,1) when there is none).
+        incident component (imaginary curvette (0,1) when there is none),
+        which on the graph's vectors is (v_j n_i - v_i n_j)/(r n_i m).
         Computed once per component and kept, read-only.
         """
         cached = self._alphas.get(cid)
         if cached is not None:
             return cached
-        comp = self.component(cid)
-        if comp.data.N == 0:
+        vec, r = self._vec, self._r
+        n_i, v_i = vec[cid]
+        if n_i == 0:
             raise ZeroN(f"alpha-values of {cid!r} need N != 0")
-        ratio = comp.data.ratio
         out: dict[str, Fraction] = {}
         for p in self.points_on(cid):
-            other = self.other_component(p, cid)
-            data = other.data if other is not None else VIRTUAL_END
-            out[p.id] = (data.nu - ratio * data.N) / p.order
+            n_j, v_j = next((vec[o] for o in p.incident if o != cid), (0, r))
+            out[p.id] = Fraction(v_j * n_i - v_i * n_j, r * n_i * p.order)
         cached = self._alphas[cid] = MappingProxyType(out)
         return cached
 
@@ -553,10 +567,13 @@ def insert_hj_chains(graph: ResolutionGraph) -> ResolutionGraph:
     """Replace every point of order m > 1 by its Hirzebruch-Jung chain.
 
     Chain curve data interpolate the two end data d_A, d_B through
-    d_t = (Delta(t+1,r) d_A + Delta(1,t-1) d_B) / Delta(1,r), with a free end
-    (point on a single component) using the curvette data (0, 1).  The
+    d_t = (Delta(t+1,l) d_A + Delta(1,t-1) d_B) / Delta(1,l), with a free end
+    (point on a single component) using the curvette data (0, 1), and
+    Delta(1,l) = m.  Each entry is one ``Fraction`` read off the graph's
+    vectors: (Delta(t+1,l) (n_A, v_A) + Delta(1,t-1) (n_B, v_B))/(m r).  The
     result is a smooth model: all point orders are 1.
     """
+    vec, r = graph._vec, graph._r
     comps = list(graph.components)
     points = []
     for point in graph.points:
@@ -565,41 +582,27 @@ def insert_hj_chains(graph: ResolutionGraph) -> ResolutionGraph:
             continue
         m = point.order
         chain = _chain(point)
-        ks, r, det = chain.ks, chain.length, chain.delta
-        d_A, d_B = graph.incident_data(point)
-        a_id = point.incident[0] if point.incident else None
-        b_id = point.incident[1] if len(point.incident) == 2 else None
+        ks, length, det = chain.ks, chain.length, chain.delta
+        ends = [graph.component(cid) for cid in point.incident]
+        free = 2 - len(ends)
+        (n_A, v_A), (n_B, v_B) = [vec[c.id] for c in ends] + [(0, r)] * free
         # log discrepancies interpolate like the data; strict transforms and
         # curvettes count with b = 1
-        b_A = Fraction(1)
-        b_B = Fraction(1)
-        if a_id is not None and graph.component(a_id).log_discrepancy is not None:
-            b_A = graph.component(a_id).log_discrepancy
-        if b_id is not None and graph.component(b_id).log_discrepancy is not None:
-            b_B = graph.component(b_id).log_discrepancy
-        fids = [f"{point.id}#F{t}" for t in range(1, r + 1)]
-        for t in range(1, r + 1):
-            coeff_a = Fraction(det(t + 1, r), m)
-            coeff_b = Fraction(det(1, t - 1), m)
-            comps.append(
-                Component(
-                    fids[t - 1],
-                    "exceptional",
-                    d_A.scale(coeff_a) + d_B.scale(coeff_b),
-                    genus=0,
-                    log_discrepancy=coeff_a * b_A + coeff_b * b_B,
-                    self_intersection=Fraction(-ks[t - 1]),
-                )
+        bs = [c.log_discrepancy for c in ends] + [None] * free
+        (p_A, q_A), (p_B, q_B) = [(1, 1) if b is None else b.as_integer_ratio() for b in bs]
+        fids = [f"{point.id}#F{t}" for t in range(1, length + 1)]
+        for t, fid in enumerate(fids, 1):
+            c_A, c_B = det(t + 1, length), det(1, t - 1)
+            data = NumericalData(
+                Fraction(c_A * n_A + c_B * n_B, m * r), Fraction(c_A * v_A + c_B * v_B, m * r)
             )
+            b = Fraction(c_A * p_A * q_B + c_B * p_B * q_A, m * q_A * q_B)
+            comps.append(Component(fid, "exceptional", data, genus=0, log_discrepancy=b,
+                                   self_intersection=Fraction(-ks[t - 1])))
         # chain edges; a free virtual end produces no point
-        seq = ([a_id] if a_id else []) + fids + ([b_id] if b_id else [])
-        for i in range(len(seq) - 1):
-            points.append(
-                MarkedPoint(
-                    f"{point.id}#e{i}",
-                    CyclicType(1, 0, 0),
-                    (seq[i], seq[i + 1]),
-                )
-            )
+        seq = [c.id for c in ends[:1]] + fids + [c.id for c in ends[1:]]
+        points += [
+            MarkedPoint(f"{point.id}#e{i}", CyclicType(1, 0, 0), (seq[i], seq[i + 1]))
+            for i in range(len(seq) - 1)
+        ]
     return ResolutionGraph(graph.ambient, tuple(comps), tuple(points))
-

@@ -25,20 +25,23 @@ def frac_to_str(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def frac_from_str(s) -> Fraction:
+def frac_from_str(s, where: str = "value") -> Fraction:
+    """A rational field, as a 'p/q' string or a JSON integer."""
     if isinstance(s, bool):
-        raise InputError(f"expected a rational, got {s!r}")
+        raise InputError(f"{where}: expected a rational, got {s!r}")
     if isinstance(s, int):
         return Fraction(s)
     if isinstance(s, str):
         try:
             return Fraction(s)
         except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"invalid rational {s!r}") from exc
-    raise InputError(f"expected a rational as 'p/q' string or integer, got {s!r}")
+            raise InputError(f"{where}: invalid rational {s!r}") from exc
+    raise InputError(f"{where}: expected a rational as 'p/q' string or integer, got {s!r}")
 
 
 def check_keys(obj: dict, allowed: set[str], where: str) -> None:
+    if not isinstance(obj, dict):
+        raise InputError(f"{where}: expected a JSON object")
     unknown = set(obj) - allowed
     if unknown:
         raise InputError(f"{where}: unknown fields {sorted(unknown)}")
@@ -118,37 +121,37 @@ def graph_from_json(obj: dict) -> ResolutionGraph:
     if obj.get("schema") != GRAPH_SCHEMA:
         raise InputError(f"unsupported graph schema {obj.get('schema')!r}")
     comps = []
-    for c in required(obj, "components", "graph"):
-        where = f"component {c.get('id')!r}"
+    for i, c in enumerate(required(obj, "components", "graph")):
         check_keys(
             c,
             {"id", "kind", "genus", "N", "nu", "log_discrepancy", "label", "self_intersection"},
-            where,
+            f"graph.components[{i}]",
         )
+        where = f"component {c.get('id')!r}"
         comps.append(
             {
                 "id": required(c, "id", where),
                 "kind": required(c, "kind", where),
                 "genus": int_from_json(c.get("genus", 0), f"{where}.genus"),
-                "N": frac_from_str(required(c, "N", where)),
-                "nu": frac_from_str(required(c, "nu", where)),
+                "N": frac_from_str(required(c, "N", where), f"{where}.N"),
+                "nu": frac_from_str(required(c, "nu", where), f"{where}.nu"),
                 "log_discrepancy": (
-                    frac_from_str(c["log_discrepancy"])
+                    frac_from_str(c["log_discrepancy"], f"{where}.log_discrepancy")
                     if c.get("log_discrepancy") is not None
                     else None
                 ),
                 "label": c.get("label", ""),
                 "self_intersection": (
-                    frac_from_str(c["self_intersection"])
+                    frac_from_str(c["self_intersection"], f"{where}.self_intersection")
                     if c.get("self_intersection") is not None
                     else None
                 ),
             }
         )
     points = []
-    for p in obj.get("points", []):
+    for i, p in enumerate(obj.get("points", [])):
+        check_keys(p, {"id", "local_type", "incident"}, f"graph.points[{i}]")
         where = f"point {p.get('id')!r}"
-        check_keys(p, {"id", "local_type", "incident"}, where)
         points.append(
             {
                 "id": required(p, "id", where),

@@ -10,9 +10,13 @@ with the two linear forms at a point taken from its incident components
 (imaginary curvette (0,1) for a missing incidence).  Every pole is a root
 -nu/N of a known form, so each term splits into partial fractions in closed
 form, and Ztop is the ``RatFunc`` holding their sum; no root finding and no
-multiplying out runs on this path.  Each graph keeps its Ztop and pole
-report, each computed once; the report reads topological orders and residues
-off Ztop's partial fractions, and motivic orders off the combinatorics below.
+multiplying out runs on this path.  The split runs on integer vectors
+(n, v) = (r*N, r*nu) on one scale r, the graph's own for ``ztop``: each
+coefficient is summed as an unreduced integer pair and becomes one
+``Fraction`` at the end, as does each residue.  Each graph keeps its Ztop
+and pole report, each computed once; the report reads topological orders
+and residues off Ztop's partial fractions, and motivic orders off the
+combinatorics below.
 """
 
 from __future__ import annotations
@@ -20,58 +24,70 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
+from math import gcd, lcm
 
 from .errors import OrderTwo, ZeroAlpha, ZeroDenominatorForm
 from .ratfunc import RatFunc
-from .resolution import NumericalData, ResolutionGraph
-
-
-def _factor(data: NumericalData) -> tuple[Fraction | None, Fraction]:
-    """(root, scale) of a form: (-nu/N, 1/N), or (None, 1/nu) when N = 0."""
-    if data.N == 0:
-        return None, 1 / data.nu
-    return -data.nu / data.N, 1 / data.N
+from .resolution import NumericalData, ResolutionGraph, _on_lattice
 
 
 def _split(terms) -> tuple[Fraction, dict[Fraction, list[Fraction]]]:
     """(constant, {s0: [c1, c2]}), c_k untrimmed at 1/(s - s0)^k, of the sum
-    of c / prod(forms) over ``terms``, c with the ``_factor`` of each form.
+    of c / prod(v + n s) over ``terms``: pairs (c, forms) of a rational c and
+    at most two integer forms (n, v), n >= 0, none of them (0, 0).
 
-    chi/(nu + N s) is chi/N at -nu/N; m/((nu1 + N1 s)(nu2 + N2 s)) is
-    +-m/(N1 N2 (a - b)) at the roots a != b, or m/(N1 N2) on the square when
-    a = b; a form with N = 0 is the constant nu.
+    Forms nu + N s on a scale r enter as (r N, r nu), with c times r per
+    form.  c/(v + n s) is c/n at -v/n; c/((v1 + n1 s)(v2 + n2 s)) is
+    +-c/(v2 n1 - v1 n2) at the roots -v1/n1 and -v2/n2, or c/(n1 n2) on the
+    square when that cross term is 0; a form with n = 0 divides c by v.
+    Each coefficient is summed as an unreduced integer pair (p, q) and
+    becomes one ``Fraction`` at the end.
     """
-    const = zero = Fraction(0)
-    parts: dict[Fraction, list[Fraction]] = {}
+    const = [0, 1]
+    slots: dict[tuple[int, int], list[int]] = {}  # root -v/n -> [p1, q1, p2, q2]
 
-    def add(s0, k, c):
-        parts.setdefault(s0, [zero, zero])[k] += c
+    def at(n, v):
+        g = gcd(n, v)
+        return slots.setdefault((-v // g, n // g), [0, 1, 0, 1])
 
-    for c, factors in terms:
-        roots = []
-        for root, scale in factors:
-            c *= scale
-            if root is not None:
-                roots.append(root)
-        if not roots:
-            const += c
-        elif len(roots) == 1:
-            add(roots[0], 0, c)
-        elif roots[0] == roots[1]:
-            add(roots[0], 1, c)
+    def add(slot, k, p, q):
+        if slot[k + 1] == q:
+            slot[k] += p
         else:
-            a, b = roots
-            c /= a - b
-            add(a, 0, c)
-            add(b, 0, -c)
-    return const, parts
+            slot[k], slot[k + 1] = slot[k] * q + p * slot[k + 1], slot[k + 1] * q
+
+    for c, forms in terms:
+        p, q = c.as_integer_ratio()
+        rooted = []
+        for n, v in forms:
+            if n:
+                rooted.append((n, v))
+            else:
+                q *= v
+        if not rooted:
+            add(const, 0, p, q)
+        elif len(rooted) == 1:
+            add(at(*rooted[0]), 0, p, q * rooted[0][0])
+        else:
+            (n1, v1), (n2, v2) = rooted
+            if cross := v2 * n1 - v1 * n2:
+                add(at(n1, v1), 0, p, q * cross)
+                add(at(n2, v2), 0, -p, q * cross)
+            else:
+                add(at(n1, v1), 2, p, q * n1 * n2)
+    parts = {Fraction(*s0): [Fraction(*cs[:2]), Fraction(*cs[2:])] for s0, cs in slots.items()}
+    return Fraction(*const), parts
 
 
 def zeta_from_terms(terms) -> RatFunc:
-    """Sum of c / prod(forms) over ``terms``, pairs (c, forms) of one or two
-    ``NumericalData`` with no (0, 0) form, from its partial fractions."""
-    split = _split((c, [_factor(f) for f in forms]) for c, forms in terms)
-    return RatFunc.from_partial_fractions(*split)
+    """Sum of c / prod(forms) over ``terms``, a list of pairs (c, forms) of one
+    or two ``NumericalData`` with no (0, 0) form, split on the lcm scale of
+    its forms."""
+    r = lcm(*[x.denominator for _, forms in terms for f in forms for x in (f.N, f.nu)])
+    return RatFunc.from_partial_fractions(*_split([
+        (c * r ** len(forms), [(_on_lattice(f.N, r), _on_lattice(f.nu, r)) for f in forms])
+        for c, forms in terms
+    ]))
 
 
 def _kept(compute):
@@ -89,18 +105,21 @@ def _kept(compute):
 @_kept
 def ztop(graph: ResolutionGraph) -> RatFunc:
     """Exact topological zeta function of the pair carried by the graph,
-    factoring each component's form once; a missing incidence is the
-    curvette (0, 1), a factor of 1."""
+    split on the graph's vectors: chi/(nu + N s) is chi r/(v + n s) and
+    m/((nu1 + N1 s)(nu2 + N2 s)) is m r^2/((v1 + n1 s)(v2 + n2 s)); a missing
+    incidence is the curvette (0, 1), a factor of 1."""
     for comp in graph.components:
         if comp.data.is_zero_form:
             raise ZeroDenominatorForm(f"component {comp.id!r} has data (0,0)")
-    factor = {comp.id: _factor(comp.data) for comp in graph.components}
+    vec, r = graph._vec, graph._r
     terms = [
-        (chi, (factor[comp.id],))
+        (chi * r, (vec[comp.id],))
         for comp in graph.exceptional
         if (chi := graph.euler_open(comp.id))
     ]
-    terms += [(p.order, [factor[cid] for cid in p.incident]) for p in graph.points]
+    terms += [
+        (p.order * r ** len(p.incident), [vec[cid] for cid in p.incident]) for p in graph.points
+    ]
     return RatFunc.from_partial_fractions(*_split(terms))
 
 
@@ -149,15 +168,19 @@ def top_residue(graph: ResolutionGraph, s0) -> Fraction:
     Exceptional components contribute (1/N)(chi(E^o) + sum_P 1/alpha_P) and
     strict transforms 1/(N alpha) against their adjacent component.  Only
     defined when no two realizing components intersect (order two) and no
-    alpha-value at a realizing component vanishes.
+    alpha-value at a realizing component vanishes.  The sum is kept as one
+    unreduced integer pair, times r/n for each component's n = r N, and is
+    one ``Fraction`` at the end.
     """
-    total = Fraction(0)
+    num, den = 0, 1
     for comp, alphas in residue_alphas(graph, Fraction(s0)):
-        inverse_sum = sum(Fraction(1) / a for a in alphas.values())
-        if comp.is_exceptional:
-            inverse_sum += graph.euler_open(comp.id)
-        total += inverse_sum / comp.data.N
-    return total
+        p = graph.euler_open(comp.id) if comp.is_exceptional else 0
+        q = 1
+        for a in alphas.values():
+            p, q = p * a.numerator + a.denominator * q, q * a.numerator
+        q *= graph._vec[comp.id][0]
+        num, den = num * q + graph._r * p * den, den * q
+    return Fraction(num, den)
 
 
 def rupture_components(graph: ResolutionGraph) -> list[str]:

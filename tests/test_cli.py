@@ -151,16 +151,23 @@ def test_unknown_field_rejected(tmp_path, capsys):
     path = write_instance(tmp_path, "bad2.json", doc)
     assert main(["zeta", "--input", path]) == 2
     capsys.readouterr()
-    # a missing required field or a non-integer integer field is an input
-    # error naming the file and the field, not a traceback
+    # a missing required field, a non-integer integer field, an invalid
+    # rational or a non-object where an object is expected is an input error
+    # naming the file and the field, not a traceback
     graph = graph_to_json(weighted_blowup(PLANE, cusp_spec((3, 2), 3)))
+    strings = {**graph, "components": ["x"]}
     del graph["components"][0]["N"]
     branch = {"label": "c", "N": "1", "w": "0", "c": {"k": "z"}}
+    divisor = PLANE_46["divisor"]
     probes = {
         "d": {**QUOT_46, "surface": {"kind": "cyclic_quotient", "a": 1, "b": 1}},
-        "pq": {**PLANE_46, "divisor": {**PLANE_46["divisor"], "pq": ["x", 1]}},
+        "pq": {**PLANE_46, "divisor": {**divisor, "pq": ["x", 1]}},
         "N": {**PLANE_46, "mode": "explicit_graph", "graph": graph},
-        "k": {**PLANE_46, "divisor": {**PLANE_46["divisor"], "branches": [branch]}},
+        "k": {**PLANE_46, "divisor": {**divisor, "branches": [branch]}},
+        "components[0]": {**PLANE_46, "mode": "explicit_graph", "graph": strings},
+        "surface": {**PLANE_46, "surface": "plane"},
+        "branches[0]": {**PLANE_46, "divisor": {**divisor, "branches": ["b"]}},
+        "axis_x.N": {**PLANE_46, "divisor": {**divisor, "axis_x": {"N": "q", "w": "3"}}},
     }
     for i, (field, doc) in enumerate(probes.items()):
         path = write_instance(tmp_path, f"probe{i}.json", doc)

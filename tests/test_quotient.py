@@ -439,3 +439,18 @@ def test_w_only_branch_orbit(setup_mu2):
     from qzeta import insert_hj_chains
 
     assert ztop(insert_hj_chains(down)) == ztop(down)
+
+
+def test_upstairs_graph_kept_when_no_axis_is_forced(pair_x4y6):
+    # with e1 = e2 = 1 no ramification axis is added, so graph_up is the
+    # blow-up itself and holds the alpha-values its adjunction check computed
+    assert pair_x4y6.setup.e1 == pair_x4y6.setup.e2 == 1
+    up = pair_x4y6.graph_up
+    assert set(up._alphas) == {"E"} and not up._kept
+    assert up.alpha_values("E") is up._alphas["E"]
+    # a forced axis is a new component, so that graph is built anew
+    setup = QuotientSetup(4, 1, 2)
+    assert (setup.e1, setup.e2) == (2, 1)
+    forced = build_quotient(setup, DownDivisor(pq=(3, 2), branches=(("c", Fraction(1)),)),
+                            DownDivisor(pq=(3, 2), axis_x=Fraction(-1, 2))).graph_up
+    assert forced.component("Lx").kind == "branch_curve" and not forced._alphas

@@ -2,6 +2,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from ratfunc_oracle import fraction_sum, ratfunc, rational_roots
 
 import qzeta.ratfunc
@@ -447,3 +449,135 @@ def test_big_rational_plane_instance_is_fast():
     assert classify_poles(g).top_poles() == z.poles()
     assert set(z.poles()) <= g.candidate_poles()
     assert (z.num, z.den) == _gcd_route(g)
+
+
+# primes of 64 to 512 bits: components whose N and nu have large numerators
+# and denominators, on a scale r of up to 1024 bits
+LATTICE_PRIMES = (2**64 - 59, 2**127 - 1, 2**255 - 19, 2**512 - 569)
+_small = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+_big = st.builds(
+    lambda p, q, sign: Fraction(sign * p, q),
+    st.sampled_from(LATTICE_PRIMES),
+    st.sampled_from(LATTICE_PRIMES),
+    st.sampled_from((1, -1)),
+)
+_rational = st.one_of(_small, _big)
+_positive = _rational.map(abs).filter(bool)
+
+
+def _local_types(m: int) -> list:
+    from math import gcd
+
+    from qzeta import CyclicType
+
+    if m == 1:
+        return [CyclicType(1, 0, 0)]
+    return [CyclicType(m, 1, b) for b in range(1, m) if gcd(b, m) == 1]
+
+
+@st.composite
+def lattice_graphs(draw):
+    """Graphs with small and 64- to 512-bit N and nu, components with N = 0
+    (now and then the (0, 0) form), points with missing incidences, and
+    optionally a second form with the first one's root: a double root."""
+    from qzeta import PLANE, Component, MarkedPoint, ResolutionGraph
+
+    comps = []
+    for i in range(draw(st.integers(1, 5))):
+        N = draw(_positive) if i == 0 or draw(st.booleans()) else Fraction(0)
+        kind = "strict_D" if N and draw(st.booleans()) else "exceptional"
+        b = draw(st.one_of(st.none(), _positive))
+        comps.append(Component(f"C{i}", kind, NumericalData(N, draw(_rational)),
+                               genus=draw(st.integers(0, 1)), log_discrepancy=b))
+    ids = [c.id for c in comps]
+    points = []
+    if draw(st.booleans()):
+        d = comps[0].data
+        comps.append(Component("D", "exceptional", NumericalData(2 * d.N, 2 * d.nu)))
+        points.append(MarkedPoint("pD", _local_types(1)[0], ("C0", "D")))
+    for j in range(draw(st.integers(0, 6))):
+        incident = draw(st.lists(st.sampled_from(ids), max_size=2, unique=True))
+        local_type = draw(st.sampled_from(_local_types(draw(st.integers(1, 7)))))
+        points.append(MarkedPoint(f"p{j}", local_type, tuple(incident)))
+    return ResolutionGraph(PLANE, tuple(comps), tuple(points))
+
+
+def _check_lattice(g) -> None:
+    """The lattice kernels against the Fraction route of ``resolution_oracle``."""
+    import copy
+    import pickle
+    from math import lcm
+
+    import resolution_oracle as oracle
+
+    from qzeta.errors import ZeroN
+
+    r = lcm(*[x.denominator for c in g.components for x in (c.data.N, c.data.nu)])
+    assert g._r == r
+    assert g._vec == {c.id: (int(c.data.N * r), int(c.data.nu * r)) for c in g.components}
+    for twin in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g), replace(g)):
+        assert twin == g and (twin._r, twin._vec) == (r, g._vec)
+    poles = {}
+    for c in g.components:
+        if c.data.N:
+            poles.setdefault(-c.data.ratio, []).append(c)
+            assert g.alpha_values(c.id) == oracle.alpha_values(g, c.id)
+        else:
+            for alphas in (g.alpha_values, lambda cid: oracle.alpha_values(g, cid)):
+                with pytest.raises(ZeroN):
+                    alphas(c.id)
+    assert g._poles == {s0: tuple(cs) for s0, cs in poles.items()}
+    if any(c.data.is_zero_form for c in g.components):
+        with pytest.raises(ZeroDenominatorForm):
+            ztop(g)
+        assert not g._kept
+    else:
+        assert ztop(g) == oracle.ztop(g)
+        for s0 in poles:
+            try:
+                residue = top_residue(g, s0)
+            except (OrderTwo, ZeroAlpha):
+                continue
+            assert residue == oracle.top_residue(g, s0)
+    smooth = insert_hj_chains(g)
+    chains = {}
+    for c in smooth.components[len(g.components):]:
+        chains.setdefault(c.id.rsplit("#", 1)[0], []).append((c.data, c.log_discrepancy))
+    assert chains == {p.id: oracle.chain_data(g, p) for p in g.points if p.order > 1}
+
+
+def _example_graphs():
+    """A (0, 0) form; a double root beside N = 0 forms and free points."""
+    from qzeta import PLANE, Component, CyclicType, MarkedPoint, ResolutionGraph
+
+    def graph(data, points):
+        comps = tuple(Component(cid, "exceptional", NumericalData(*d)) for cid, d in data)
+        return ResolutionGraph(PLANE, comps, tuple(MarkedPoint(*p) for p in points))
+
+    zero = graph([("E", (2, 3)), ("Z", (0, 0))], [("p", CyclicType(3, 1, 1), ("E", "Z"))])
+    big = Fraction(LATTICE_PRIMES[3], LATTICE_PRIMES[0])
+    double = graph(
+        [("E", (big, 3)), ("F", (2 * big, 6)), ("Z", (0, Fraction(5, 7)))],
+        [("p", CyclicType(1, 0, 0), ("E", "F")), ("q", CyclicType(5, 1, 2), ("Z", "E")),
+         ("u", CyclicType(4, 1, 3), ("F",)), ("v", CyclicType(3, 1, 1), ())],
+    )
+    return zero, double
+
+
+@settings(max_examples=60, deadline=None)
+@example(seed=0, graph=_example_graphs()[0])
+@example(seed=1, graph=_example_graphs()[1])
+@given(seed=st.integers(0, 2**32), graph=lattice_graphs())
+def test_lattice_kernels_match_fraction_route(seed, graph):
+    # alpha-values, Ztop, residues and chain data on each graph's integer
+    # vectors equal the Fraction formulas, on verify's random draws, their
+    # smooth models and 64- to 512-bit graphs
+    import random
+
+    from qzeta.verify import _random_graphs
+
+    for g in _random_graphs(random.Random(seed)):
+        _check_lattice(g)
+        _check_lattice(insert_hj_chains(g))
+    _check_lattice(graph)
+    _check_lattice(insert_hj_chains(graph))

@@ -18,10 +18,11 @@ the constant term of the resulting Laurent series in eps; each denominator
 factor contributes eps * ((nu + N*s) + O(eps)).  The terms of
 ``hodge_zeta`` and ``hodge_residue`` carry (uv - 1)^k over k <= 2 factors,
 so only their numerator's coefficient of eps^k is needed: it is read off
-the integer moments of the term's keys, and the term is split at the roots
--nu/N of its forms in closed form.  That is the one route: a term outside
-this form (more factors, or a numerator vanishing to a lower order) raises
-``IndeterminateLimit``.
+the integer moments of the term's keys as an integer numerator of degree
+k over the term's forms, and all terms are split at the roots -nu/N by
+Ztop's own split, ``qzeta.zeta._split``.  That is the one route: a term
+outside this form (more factors, or a numerator vanishing to a lower
+order) raises ``IndeterminateLimit``.
 """
 
 from __future__ import annotations
@@ -33,11 +34,9 @@ from math import gcd, lcm
 from typing import NamedTuple
 
 from .errors import IndeterminateLimit, NonSmallAction, ZeroDenominatorForm
-from .ratfunc import Poly, RatFunc
+from .ratfunc import RatFunc
 from .resolution import ResolutionGraph, _on_lattice
-from .zeta import residue_alphas
-
-ZERO = Fraction(0)
+from .zeta import _split, residue_alphas
 
 # integer key (x, y, g) of (uv)^((x + y*s)/r) * (u+v)^g on scale r, and the
 # integer polynomials the zero test runs on
@@ -259,85 +258,29 @@ def _moments(num, n: int) -> tuple[int, list[list[int]]]:
     return q, moments
 
 
-def _add_split(poly: list, parts: dict, coeffs, split: dict) -> None:
-    """Add a polynomial part and a {root: [c1, c2, ...]} split into poly and parts."""
-    poly.extend([ZERO] * (len(coeffs) - len(poly)))
-    for i, c in enumerate(coeffs):
-        poly[i] += c
-    for a, cs in split.items():
-        have = parts.setdefault(a, [])
-        have.extend([ZERO] * (len(cs) - len(have)))
-        for i, c in enumerate(cs):
-            have[i] += c
-
-
-def _closed_split(t: HodgeTerm) -> tuple[list, dict] | None:
+def _closed_split(t: HodgeTerm) -> tuple[list[int], int, list[tuple[int, int]]] | None:
     """The constant term of t = num / prod_k ((uv)^(nu + N*s) - 1) under
-    uv = 1 + eps, u + v = 2, split at the roots -nu/N, for k <= 2 factors
-    and a numerator vanishing to order k; None for any other term.
+    uv = 1 + eps, u + v = 2, for k <= 2 factors and a numerator vanishing to
+    order k, as a term (Q, d, forms) of :func:`qzeta.zeta._split`; None for
+    any other term.
 
     With the moments S.. of :func:`_moments`, num vanishes to order 1
     when S0 = 0 and to order 2 when also Sx = Sy = 0; the constant term is
-    then (Sx + Sy s) / (q (a + b s)) for k = 1 and
-    Q(s) / (2q (a1 + b1 s)(a2 + b2 s)), Q = Sxx + 2 Sxy s + Syy s^2, for
-    k = 2, over the factors (a, b) = (r*nu, r*N).  Every split below is
-    Q's Taylor expansion at a root, with its values put over integers:
-    b^2 Q(-a/b) = Sxx b^2 - 2 Sxy a b + Syy a^2.  A numerator that
-    vanishes beyond order k gives ([], {}).
+    then S0 / q for k = 0, (Sx + Sy s) / (q (a + b s)) for k = 1 and
+    (Sxx + 2 Sxy s + Syy s^2) / (2q (a1 + b1 s)(a2 + b2 s)) for k = 2, over
+    the factors (a, b) = (r*nu, r*N), which enter the split as forms
+    (n, v) = (b, a).
     """
-    den = t.den
-    k = len(den)
+    k = len(t.den)
     if k > 2:
         return None
     q, m = _moments(t.num, k + 1)
-    if k == 0:
-        return ([Fraction(m[0][0], q)] if m[0][0] else []), {}
-    if m[0][0]:
+    if any(x for row in m[:k] for x in row):
         return None
-    if k == 1:
-        sx, sy = m[1]
-        if not (sx or sy):
-            return [], {}
-        (a, b), = den
-        if not b:
-            return [Fraction(sx, q * a), Fraction(sy, q * a)], {}
-        return [Fraction(sy, q * b)], {Fraction(-a, b): [Fraction(sx * b - sy * a, q * b * b)]}
-    if m[1][0] or m[1][1]:
-        return None
-    sxx, sxy, syy = m[2]
-    if not (sxx or sxy or syy):
-        return [], {}
-    (a1, b1), (a2, b2) = den
-    d = 2 * q
-
-    def at_root(a, b):  # b^2 Q(-a/b)
-        return sxx * b * b - 2 * sxy * a * b + syy * a * a
-
-    if not (b1 or b2):
-        lead = d * a1 * a2
-        return [Fraction(sxx, lead), Fraction(2 * sxy, lead), Fraction(syy, lead)], {}
-    if not (b1 and b2):
-        # one factor of N = 0: Q(s) / (lead (s - p)) with p = -a/b
-        (a, b), c = ((a1, b1), a2) if b1 else ((a2, b2), a1)
-        lead = d * c * b
-        return (
-            [Fraction(2 * sxy * b - syy * a, lead * b), Fraction(syy, lead)],
-            {Fraction(-a, b): [Fraction(at_root(a, b), lead * b * b)]},
-        )
-    poly = [Fraction(syy, d * b1 * b2)]
-    cross = a2 * b1 - a1 * b2
-    if cross:
-        return poly, {
-            Fraction(-a1, b1): [Fraction(at_root(a1, b1), d * b1 * b1 * cross)],
-            Fraction(-a2, b2): [Fraction(-at_root(a2, b2), d * b2 * b2 * cross)],
-        }
-    # a double root p = -a1/b1: c2 = Q(p)/lead and c1 = Q'(p)/lead, lead = d b1 b2
-    return poly, {
-        Fraction(-a1, b1): [
-            Fraction(sxy * b1 - syy * a1, q * b1 * b1 * b2),
-            Fraction(at_root(a1, b1), d * b1**3 * b2),
-        ]
-    }
+    num = m[k]
+    if k == 2:
+        num, q = [num[0], 2 * num[1], num[2]], 2 * q
+    return num, q, [(b, a) for a, b in t.den]
 
 
 def euler_specialize(expr: HodgeExpr) -> RatFunc:
@@ -348,9 +291,10 @@ def euler_specialize(expr: HodgeExpr) -> RatFunc:
     :func:`hodge_zeta` and :func:`hodge_residue` build, and so every term
     of their sums, differences, scalings and rescales, has k <= 2 and a
     numerator that vanishes to order k, since it carries (uv - 1)^k; its
-    limit is then num[k] / u0, read off the integer moments of its keys and
-    split at the roots -nu/N in closed form (:func:`_closed_split`), and the
-    splits are summed.  A (0, 0) factor in any term raises
+    limit is then num[k] / u0, an integer term read off the moments of its
+    keys (:func:`_closed_split`), and one call of ``qzeta.zeta._split``
+    splits all the terms at the roots -nu/N; no ``Fraction`` is built
+    before it returns.  A (0, 0) factor in any term raises
     :class:`ZeroDenominatorForm` before anything is split.  Any other term
     (more than 2 factors, or a numerator vanishing below order k) raises
     :class:`IndeterminateLimit`, even where its poles in eps would cancel
@@ -359,18 +303,17 @@ def euler_specialize(expr: HodgeExpr) -> RatFunc:
     for t in expr.terms:
         if (0, 0) in t.den:
             raise ZeroDenominatorForm("Hodge term with a factor (uv)^0 - 1")
-    poly: list = []
-    parts: dict = {}
+    terms = []
     for t in expr.terms:
-        split = _closed_split(t)
-        if split is None:
+        term = _closed_split(t)
+        if term is None:
             k = len(t.den)
             raise IndeterminateLimit(
                 f"no closed-form limit for a term over {k} factors: more than 2, "
                 f"or a numerator vanishing below order {k}"
             )
-        _add_split(poly, parts, *split)
-    return RatFunc.from_partial_fractions(Poly(poly), parts)
+        terms.append(term)
+    return RatFunc.from_partial_fractions(*_split(terms))
 
 
 # ---------------------------------------------------------------------------

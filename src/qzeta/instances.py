@@ -10,7 +10,8 @@ from .errors import InputError
 from .quotient import DownDivisor, QuotientSetup, split_down_spec
 from .resolution import BranchEntry, CClass, DivisorSpec, ResolutionGraph
 from .serialize import (
-    INSTANCE_SCHEMA, check_keys, frac_from_str, graph_from_json, int_from_json, required,
+    INSTANCE_SCHEMA, check_keys, frac_from_str, graph_from_json, int_from_json, list_from_json,
+    required,
 )
 
 
@@ -37,7 +38,7 @@ def _parse_axis(obj, where: str):
 
 def _parse_branches(items, where: str):
     out = []
-    for i, b in enumerate(items or []):
+    for i, b in enumerate(list_from_json(items, f"{where}.branches")):
         here = f"{where}.branches[{i}]"
         check_keys(b, {"label", "N", "w", "c"}, here)
         label = str(b.get("label", f"b{i}"))
@@ -77,7 +78,10 @@ def load_instance(path: str | Path) -> Instance:
         setup = None
     elif kind == "cyclic_quotient":
         d, a, b = (int_from_json(required(surf, k, where), f"{where}.{k}") for k in "dab")
-        setup = QuotientSetup(d, a, b)
+        try:
+            setup = QuotientSetup(d, a, b)
+        except InputError as exc:
+            raise InputError(f"{where}: {exc}") from None
     else:
         raise InputError(f"{path}: unknown surface kind {kind!r}")
 
@@ -103,7 +107,7 @@ def load_instance(path: str | Path) -> Instance:
     pq = tuple(int_from_json(x, f"{path}: divisor.pq") for x in pq)
     axis_x = _parse_axis(div.get("axis_x"), f"{path}: divisor.axis_x")
     axis_y = _parse_axis(div.get("axis_y"), f"{path}: divisor.axis_y")
-    branches = _parse_branches(div.get("branches"), f"{path}: divisor")
+    branches = _parse_branches(div.get("branches", []), f"{path}: divisor")
     spec = DivisorSpec(pq=pq, axis_x=axis_x, axis_y=axis_y, branches=branches)
 
     down_pair = split_down_spec(spec) if setup is not None else None

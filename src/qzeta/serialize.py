@@ -9,7 +9,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cyclic import CyclicType
-from .engraph import ENGraph
 from .errors import InputError
 from .quotient import CorrespondenceTable, QuotientPair, TheoremReport
 from .ratfunc import RatFunc
@@ -52,6 +51,13 @@ def required(obj: dict, key: str, where: str):
     if key not in obj:
         raise InputError(f"{where}: missing field {key!r}")
     return obj[key]
+
+
+def list_from_json(x, where: str) -> list:
+    """A field the document must give as a JSON list."""
+    if not isinstance(x, list):
+        raise InputError(f"{where}: expected a JSON list, got {x!r}")
+    return x
 
 
 def int_from_json(x, where: str) -> int:
@@ -121,7 +127,8 @@ def graph_from_json(obj: dict) -> ResolutionGraph:
     if obj.get("schema") != GRAPH_SCHEMA:
         raise InputError(f"unsupported graph schema {obj.get('schema')!r}")
     comps = []
-    for i, c in enumerate(required(obj, "components", "graph")):
+    items = list_from_json(required(obj, "components", "graph"), "graph.components")
+    for i, c in enumerate(items):
         check_keys(
             c,
             {"id", "kind", "genus", "N", "nu", "log_discrepancy", "label", "self_intersection"},
@@ -149,14 +156,14 @@ def graph_from_json(obj: dict) -> ResolutionGraph:
             }
         )
     points = []
-    for i, p in enumerate(obj.get("points", [])):
+    for i, p in enumerate(list_from_json(obj.get("points", []), "graph.points")):
         check_keys(p, {"id", "local_type", "incident"}, f"graph.points[{i}]")
         where = f"point {p.get('id')!r}"
         points.append(
             {
                 "id": required(p, "id", where),
                 "local_type": cyclic_from_json(required(p, "local_type", where), where),
-                "incident": required(p, "incident", where),
+                "incident": list_from_json(required(p, "incident", where), f"{where}.incident"),
             }
         )
     ambient = cyclic_from_json(obj["ambient"], "ambient") if obj.get("ambient") else None
@@ -232,22 +239,4 @@ def quotient_pair_to_json(pair: QuotientPair) -> dict:
         "graph_up": graph_to_json(pair.graph_up),
         "graph_down": graph_to_json(pair.graph_down),
         "table": table_to_json(pair.table),
-    }
-
-
-def engraph_to_json(en: ENGraph) -> dict:
-    return {
-        "vertices": [
-            {
-                "id": v.id,
-                "style": v.style,
-                "ratio": frac_to_str(v.ratio) if v.ratio is not None else "oo",
-                "dashed": v.dashed,
-            }
-            for v in en.vertices
-        ],
-        "edges": [
-            {"v1": e.v1, "v2": e.v2, "order": e.order, "dashed": e.dashed}
-            for e in en.edges
-        ],
     }

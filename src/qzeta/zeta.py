@@ -10,13 +10,15 @@ with the two linear forms at a point taken from its incident components
 (imaginary curvette (0,1) for a missing incidence).  Every pole is a root
 -nu/N of a known form, so each term splits into partial fractions in closed
 form, and Ztop is the ``RatFunc`` holding their sum; no root finding and no
-multiplying out runs on this path.  The split runs on integer vectors
-(n, v) = (r*N, r*nu) on one scale r, the graph's own for ``ztop``: each
-coefficient is summed as an unreduced integer pair and becomes one
-``Fraction`` at the end, as does each residue.  Each graph keeps its Ztop
-and pole report, each computed once; the report reads topological orders
-and residues off Ztop's partial fractions, and motivic orders off the
-combinatorics below.
+multiplying out runs on this path.  ``_split`` is the one partial-fraction
+split of the library: it takes integer numerators of degree <= 2 over at
+most two integer forms (n, v) = (r*N, r*nu) on one scale r, the graph's own
+for ``ztop``, and the Euler specialization of the Hodge zeta function sends
+it its terms too.  Each coefficient is summed as an unreduced integer pair
+and becomes one ``Fraction`` at the end, as does each residue.  Each graph
+keeps its Ztop and pole report, each computed once; the report reads
+topological orders and residues off Ztop's partial fractions, and motivic
+orders off the combinatorics below.
 """
 
 from __future__ import annotations
@@ -27,27 +29,31 @@ from functools import wraps
 from math import gcd, lcm
 
 from .errors import OrderTwo, ZeroAlpha, ZeroDenominatorForm
-from .ratfunc import RatFunc
+from .ratfunc import Poly, RatFunc
 from .resolution import NumericalData, ResolutionGraph, _on_lattice
 
 
-def _split(terms) -> tuple[Fraction, dict[Fraction, list[Fraction]]]:
-    """(constant, {s0: [c1, c2]}), c_k untrimmed at 1/(s - s0)^k, of the sum
-    of c / prod(v + n s) over ``terms``: pairs (c, forms) of a rational c and
-    at most two integer forms (n, v), n >= 0, none of them (0, 0).
+def _split(terms) -> tuple[Poly, dict[Fraction, list[Fraction]]]:
+    """(polynomial part, {s0: [c1, c2]}), c_k untrimmed at 1/(s - s0)^k, of
+    the sum of Q / (d prod(v + n s)) over ``terms``: triples (Q, d, forms) of
+    a numerator Q of degree <= 2 as ascending integer coefficients, a
+    nonzero integer d and at most two integer forms (n, v), none (0, 0).
 
-    Forms nu + N s on a scale r enter as (r N, r nu), with c times r per
-    form.  c/(v + n s) is c/n at -v/n; c/((v1 + n1 s)(v2 + n2 s)) is
-    +-c/(v2 n1 - v1 n2) at the roots -v1/n1 and -v2/n2, or c/(n1 n2) on the
-    square when that cross term is 0; a form with n = 0 divides c by v.
-    Each coefficient is summed as an unreduced integer pair (p, q) and
-    becomes one ``Fraction`` at the end.
+    A form with n = 0 multiplies d by v.  A numerator of degree deg >= 1
+    over a form with n != 0 is divided by the first such form (n, v),
+    n^deg Q = (n s + v) P + h, and h over all those forms and P over the
+    others are split in turn, both over d n^deg.  A constant h over the
+    forms is h/n at -v/n for one, and for two +-h/(v2 n1 - v1 n2) at the
+    roots -v1/n1 and -v2/n2, or h/(n1 n2) on the square when that cross
+    term is 0.  Root keys are taken with n > 0.  Each coefficient is summed
+    as an unreduced integer pair (p, q) and becomes one ``Fraction`` at the
+    end.
     """
-    const = [0, 1]
+    poly = [0, 1]  # s^i -> poly[2i:2i + 2]
     slots: dict[tuple[int, int], list[int]] = {}  # root -v/n -> [p1, q1, p2, q2]
 
     def at(n, v):
-        g = gcd(n, v)
+        g = gcd(n, v) if n > 0 else -gcd(n, v)
         return slots.setdefault((-v // g, n // g), [0, 1, 0, 1])
 
     def add(slot, k, p, q):
@@ -56,27 +62,42 @@ def _split(terms) -> tuple[Fraction, dict[Fraction, list[Fraction]]]:
         else:
             slot[k], slot[k + 1] = slot[k] * q + p * slot[k + 1], slot[k + 1] * q
 
-    for c, forms in terms:
-        p, q = c.as_integer_ratio()
+    todo = list(terms)
+    for num, d, forms in todo:
         rooted = []
         for n, v in forms:
             if n:
                 rooted.append((n, v))
             else:
-                q *= v
-        if not rooted:
-            add(const, 0, p, q)
+                d *= v
+        if len(num) > 1 and rooted:
+            # Horner at -v/n with its k-th value times n^k: the last is h,
+            # and the ones before it, from the top, times n^j are P's
+            # coefficients of s^j; this loop goes on to split both parts
+            (n, v), *rest = rooted
+            h, hs = 0, []
+            for k, c in enumerate(reversed(num)):
+                hs.append(h)
+                h = c * n**k - v * h
+            d *= n ** (len(num) - 1)
+            p = [t * n**j for j, t in enumerate(reversed(hs[1:]))]
+            todo += [((h,), d, rooted), (p, d, rest)]
+        elif not rooted:
+            for i, c in enumerate(num):
+                if 2 * i == len(poly):
+                    poly += [0, 1]
+                add(poly, 2 * i, c, d)
         elif len(rooted) == 1:
-            add(at(*rooted[0]), 0, p, q * rooted[0][0])
+            add(at(*rooted[0]), 0, num[0], d * rooted[0][0])
         else:
             (n1, v1), (n2, v2) = rooted
             if cross := v2 * n1 - v1 * n2:
-                add(at(n1, v1), 0, p, q * cross)
-                add(at(n2, v2), 0, -p, q * cross)
+                add(at(n1, v1), 0, num[0], d * cross)
+                add(at(n2, v2), 0, -num[0], d * cross)
             else:
-                add(at(n1, v1), 2, p, q * n1 * n2)
+                add(at(n1, v1), 2, num[0], d * n1 * n2)
     parts = {Fraction(*s0): [Fraction(*cs[:2]), Fraction(*cs[2:])] for s0, cs in slots.items()}
-    return Fraction(*const), parts
+    return Poly(map(Fraction, poly[::2], poly[1::2])), parts
 
 
 def zeta_from_terms(terms) -> RatFunc:
@@ -85,7 +106,8 @@ def zeta_from_terms(terms) -> RatFunc:
     its forms."""
     r = lcm(*[x.denominator for _, forms in terms for f in forms for x in (f.N, f.nu)])
     return RatFunc.from_partial_fractions(*_split([
-        (c * r ** len(forms), [(_on_lattice(f.N, r), _on_lattice(f.nu, r)) for f in forms])
+        ((c.numerator * r ** len(forms),), c.denominator,
+         [(_on_lattice(f.N, r), _on_lattice(f.nu, r)) for f in forms])
         for c, forms in terms
     ]))
 
@@ -113,12 +135,13 @@ def ztop(graph: ResolutionGraph) -> RatFunc:
             raise ZeroDenominatorForm(f"component {comp.id!r} has data (0,0)")
     vec, r = graph._vec, graph._r
     terms = [
-        (chi * r, (vec[comp.id],))
+        ((chi * r,), 1, (vec[comp.id],))
         for comp in graph.exceptional
         if (chi := graph.euler_open(comp.id))
     ]
     terms += [
-        (p.order * r ** len(p.incident), [vec[cid] for cid in p.incident]) for p in graph.points
+        ((p.order * r ** len(p.incident),), 1, [vec[cid] for cid in p.incident])
+        for p in graph.points
     ]
     return RatFunc.from_partial_fractions(*_split(terms))
 

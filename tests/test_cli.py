@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 from qzeta.cli import main
 from qzeta.serialize import graph_from_json, graph_to_json
@@ -152,28 +154,75 @@ def test_unknown_field_rejected(tmp_path, capsys):
     assert main(["zeta", "--input", path]) == 2
     capsys.readouterr()
     # a missing required field, a non-integer integer field, an invalid
-    # rational or a non-object where an object is expected is an input error
-    # naming the file and the field, not a traceback
-    graph = graph_to_json(weighted_blowup(PLANE, cusp_spec((3, 2), 3)))
+    # rational, a non-object where an object is expected, a non-list where a
+    # list is expected or an invalid surface is an input error naming the
+    # file and the field, not a traceback
+    good = graph_to_json(weighted_blowup(PLANE, cusp_spec((3, 2), 3)))
+    graph = json.loads(json.dumps(good))
     strings = {**graph, "components": ["x"]}
     del graph["components"][0]["N"]
     branch = {"label": "c", "N": "1", "w": "0", "c": {"k": "z"}}
     divisor = PLANE_46["divisor"]
-    probes = {
-        "d": {**QUOT_46, "surface": {"kind": "cyclic_quotient", "a": 1, "b": 1}},
-        "pq": {**PLANE_46, "divisor": {**divisor, "pq": ["x", 1]}},
-        "N": {**PLANE_46, "mode": "explicit_graph", "graph": graph},
-        "k": {**PLANE_46, "divisor": {**divisor, "branches": [branch]}},
-        "components[0]": {**PLANE_46, "mode": "explicit_graph", "graph": strings},
-        "surface": {**PLANE_46, "surface": "plane"},
-        "branches[0]": {**PLANE_46, "divisor": {**divisor, "branches": ["b"]}},
-        "axis_x.N": {**PLANE_46, "divisor": {**divisor, "axis_x": {"N": "q", "w": "3"}}},
-    }
-    for i, (field, doc) in enumerate(probes.items()):
+
+    def explicit(**fields):
+        return {**PLANE_46, "mode": "explicit_graph", "graph": {**good, **fields}}
+
+    def incident(value):
+        return explicit(points=[{**good["points"][0], "incident": value}])
+
+    def surface(d, a, b):
+        return {**QUOT_46, "surface": {"kind": "cyclic_quotient", "d": d, "a": a, "b": b}}
+
+    probes = [
+        ("d", {**QUOT_46, "surface": {"kind": "cyclic_quotient", "a": 1, "b": 1}}),
+        ("pq", {**PLANE_46, "divisor": {**divisor, "pq": ["x", 1]}}),
+        ("N", {**PLANE_46, "mode": "explicit_graph", "graph": graph}),
+        ("k", {**PLANE_46, "divisor": {**divisor, "branches": [branch]}}),
+        ("components[0]", {**PLANE_46, "mode": "explicit_graph", "graph": strings}),
+        ("surface", {**PLANE_46, "surface": "plane"}),
+        ("branches[0]", {**PLANE_46, "divisor": {**divisor, "branches": ["b"]}}),
+        ("axis_x.N", {**PLANE_46, "divisor": {**divisor, "axis_x": {"N": "q", "w": "3"}}}),
+        ("components: expected a JSON list", explicit(components=5)),
+        ("points: expected a JSON list", explicit(points=5)),
+        ("incident: expected a JSON list", incident(5)),
+        ("incident: expected a JSON list", incident("EL")),
+        ("branches: expected a JSON list",
+         {**PLANE_46, "divisor": {**divisor, "branches": {"a": 1}}}),
+        ("surface: d must be positive", surface(0, 1, 1)),
+        ("surface: gcd(d,a,b) must be 1", surface(4, 2, 2)),
+    ]
+    for i, (field, doc) in enumerate(probes):
         path = write_instance(tmp_path, f"probe{i}.json", doc)
         assert main(["zeta", "--input", path]) == 2, field
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith(f"error: {path}") and field in line, line
+
+
+def test_readme_ztop_values_are_printed(tmp_path, capsys):
+    # the README's instance on both surfaces, and every Ztop it quotes is
+    # the one the CLI prints for it
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    doc = json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+    plane = write_instance(tmp_path, "plane.json", {**doc, "surface": {"kind": "plane"}})
+    quot = write_instance(tmp_path, "quot.json", doc)
+
+    def printed(*args):
+        assert main(list(args)) == 0
+        return dict(re.findall(r"^(Ztop[^=]*?) *= (\S+)$", capsys.readouterr().out, re.M))
+
+    down, up = printed("zeta", "--input", quot), printed("quotient", "--input", quot)
+    claims = {
+        "on this instance prints": down["Ztop"],
+        "on the plane surface gives": printed("zeta", "--input", plane)["Ztop"],
+        "on the pulled-back pair, it is": up["Ztop upstairs"],
+        "graph_up).render())": up["Ztop upstairs"],
+        "graph_down).render())": up["Ztop downstairs"],
+    }
+    for where, value in claims.items():
+        quoted = re.search(re.escape(where) + r"\s+(?:`(?:Ztop = )?|# )([^`\s]+)", readme)
+        assert quoted and quoted.group(1) == value, where
+    quotes = re.findall(r"(?:`(?:Ztop = )?|# )([^`\s]*\(s[+-][^`\s]*)", readme)
+    assert len(quotes) == len(claims) and set(quotes) == set(claims.values())
 
 
 def test_bad_json_reports_line(tmp_path, capsys):

@@ -12,7 +12,6 @@ from qzeta import (
     minus_branch_divisor,
     weighted_blowup,
 )
-from qzeta.serialize import engraph_to_json
 from tests.conftest import cusp_spec
 
 
@@ -66,5 +65,4 @@ def test_en_decorations_and_dot(graph_x4y6):
     assert orders == [1, 1, 2, 3]
     dot = en_to_dot(en)
     assert dot.startswith("graph en {") and '"E"' in dot and "style=dashed" in dot
-    js = engraph_to_json(en)
-    assert any(v["ratio"] == "7/6" for v in js["vertices"])
+    assert any(v.ratio == Fraction(7, 6) for v in en.vertices)

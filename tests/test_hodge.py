@@ -692,12 +692,13 @@ def test_hodge_and_ztop_paths_run_no_polynomial_division(monkeypatch):
 
     # the per-term Poly and dict products and the dead cycle clause are gone,
     # so are the Fraction-keyed monomial helpers, and so is the general
-    # Laurent route with the partial-fraction kernels only it used
+    # Laurent route with the partial-fraction kernels only it used, and so
+    # is the closed split's own summing: zeta._split sums every term
     for name in (
         "_dict_mul", "_dict_add", "UV_MINUS_1", "_binom_polys",
         "Monomial", "MonoDict", "_mono_mul", "_integer_scales", "UV", "ONE", "UPLUSV",
         "_num_series", "_poly_series_mul", "_laurent_numerators", "_laurent_split",
-        "partial_fractions", "comb",
+        "partial_fractions", "comb", "_add_split", "ZERO",
     ):
         assert not hasattr(qzeta.hodge, name), name
     for name in ("partial_fractions", "_monic_product", "_times_linear", "_horner"):
@@ -742,55 +743,56 @@ def test_hodge_and_ztop_paths_run_no_polynomial_division(monkeypatch):
 
 
 def test_closed_split_matches_general_route():
-    # the general route is sympy's series expansion of the term
+    # the general route is sympy's series expansion of the term; the closed
+    # form is one (Q, d, forms) term of the one split, zeta._split
     sympy = pytest.importorskip("sympy")
     import random
 
     from qzeta.errors import IndeterminateLimit, OrderTwo, ZeroAlpha, ZeroDenominatorForm
     from qzeta.hodge import _closed_split, _moments
     from qzeta.verify import _random_graphs
+    from qzeta.zeta import _split
 
     def agree(t, r):
-        """The closed form of t equals the constant term of its series,
-        which has no negative order."""
+        """The split of t's closed form equals the constant term of its
+        series, which has no negative order."""
         closed = _closed_split(t)
-        assert closed is not None
+        assert closed is not None and closed[2] == [(b, a) for a, b in t.den]
         orders, F, s = _sympy_laurent(HodgeExpr((t,), r), sympy)
         assert not any(c for o, c in orders.items() if o < 0)
-        z = RatFunc.from_partial_fractions(Poly(closed[0]), closed[1])
+        z = RatFunc.from_partial_fractions(*_split([closed]))
         assert _sympy_value(z, sympy, F, s) == orders.get(0, F.zero)
-        return closed
+        return z
 
     r = BRANCH_SCALE
     cases = _branch_cases()
     # k = 0: the constant sum of c 2^g
-    assert [agree(t, r) for t in cases["k = 0"]] == [([Fraction(9, 2)], {})]
-    # k = 1 with N != 0 (a constant and one root) and with N = 0 (linear)
+    assert [agree(t, r) for t in cases["k = 0"]] == [RatFunc.const(Fraction(9, 2))]
+    # k = 1 with N != 0 (a constant and one root) and with N = 0 (a
+    # polynomial, linear unless the numerator's shift has no s)
     for t in cases["k = 1"]:
-        poly, parts = agree(t, r)
-        assert len(parts) == 1 and all(parts.values())
-    for t in cases["k = 1, N = 0"]:
-        poly, parts = agree(t, r)
-        assert not parts and len(poly) == 2
+        assert list(agree(t, r).poles().values()) == [1]
+    z0, z1 = (agree(t, r) for t in cases["k = 1, N = 0"])
+    assert not (z0.poles() or z1.poles()) and (z0._poly.degree, z1._poly.degree) == (0, 1)
     _, moments = _moments(tuple(M6_TWO.items()), 3)
     assert moments[0] == [0] and moments[1] == [0, 0] and moments[2][2]
-    # k = 2 with distinct roots, then with a double root, twice
+    # k = 2 with distinct roots, then with a double root, twice: (-6, -4)
+    # and (3, 2) are one root -3/2
     for t in cases["k = 2"]:
-        poly, parts = agree(t, r)
-        assert len(parts) == 2 and all(cs[0] for cs in parts.values())
+        assert list(agree(t, r).poles().values()) == [1, 1]
     for t in cases["k = 2, double root"]:
-        poly, parts = agree(t, r)
-        assert [len(cs) for cs in parts.values()] == [2] and all(parts[Fraction(-3, 2)])
+        z = agree(t, r)
+        assert z.poles() == {Fraction(-3, 2): 2} and all(z._parts[Fraction(-3, 2)])
     # k = 2 with one N = 0 factor: Syy != 0 gives a linear polynomial part
     for t in cases["k = 2, one N = 0"]:
-        poly, parts = agree(t, r)
-        assert len(parts) == 1 and len(poly) == 2 and poly[1]
+        z = agree(t, r)
+        assert len(z.poles()) == 1 and z._poly.degree == 1
     # k = 2 with two N = 0 factors: a quadratic polynomial
     for t in cases["k = 2, two N = 0"]:
-        poly, parts = agree(t, r)
-        assert not parts and len(poly) == 3 and poly[2]
+        z = agree(t, r)
+        assert not z.poles() and z._poly.degree == 2
     # a numerator vanishing beyond order k contributes nothing
-    assert [agree(t, r) for t in cases["beyond k"]] == [([], {})]
+    assert [agree(t, r) for t in cases["beyond k"]] == [RatFunc.zero()]
     # an early numerator order or k > 2 factors is outside the closed form
     for t in _outside_terms():
         assert _closed_split(t) is None

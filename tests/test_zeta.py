@@ -217,6 +217,57 @@ def test_ztop_matches_gcd_route_poles_and_residues():
                     top_residue(g, e.s0)
 
 
+def test_split_matches_gcd_oracle():
+    # the one split against the oracle's gcd route on random sums of
+    # Q / (d prod(v + n s)): numerators of degree 0 to 2, forms with n > 0,
+    # n < 0 and n = 0, double roots, and roots that cancel across terms
+    import random
+
+    from qzeta.zeta import _split
+
+    rng = random.Random(20261022)
+    roots = [(1, 1), (2, 3), (3, 2), (1, -2), (5, 0), (4, 7)]
+
+    def form():
+        if rng.random() < 0.2:
+            return (0, rng.choice([-5, -2, -1, 1, 2, 3]))
+        n, v = rng.choice(roots)
+        k = rng.choice([-3, -2, -1, 1, 2])
+        return (k * n, k * v)
+
+    def value(num, d, forms):
+        den = Poly.const(d)
+        for n, v in forms:
+            den = den * lin(v, n)
+        return Poly(num), den
+
+    kinds = set()
+    for _ in range(400):
+        terms = []
+        for _ in range(rng.randint(1, 4)):
+            num = [rng.randint(-4, 4) for _ in range(rng.randint(1, 3))]
+            forms = [form() for _ in range(rng.randint(0, 2))]
+            if len(forms) == 2 and rng.random() < 0.3:
+                forms[1] = tuple(-x for x in forms[0])  # a double root
+            terms.append((num, rng.choice([-6, -1, 1, 2, 9]), forms))
+        if rng.random() < 0.3:
+            # the negated value of a term, over its forms times k, cancels it
+            num, d, forms = rng.choice(terms)
+            k = rng.choice([-2, -1, 3])
+            m = -(k ** len(forms))
+            terms.append(([m * c for c in num], d, [(k * n, k * v) for n, v in forms]))
+            kinds.add("cancel")
+        z = RatFunc.from_partial_fractions(*_split(terms))
+        assert z == ratfunc(*fraction_sum([value(*term) for term in terms]))
+        for num, _, forms in terms:
+            kinds.add(f"degree {len(num) - 1}")
+            kinds.update("n > 0" if n > 0 else "n < 0" if n else "n = 0" for n, _ in forms)
+            if len(forms) == 2 and forms[0][1] * forms[1][0] == forms[0][0] * forms[1][1]:
+                kinds.add("double root" if forms[0][0] else "two n = 0")
+    assert {"degree 0", "degree 1", "degree 2", "n > 0", "n < 0", "n = 0", "double root",
+            "two n = 0", "cancel"} <= kinds
+
+
 def test_classify_poles_reads_ztop_split_directly(monkeypatch):
     # the report reads orders and residues off Ztop's partial fractions: it
     # multiplies nothing out and runs no combinatorial residue; neither do
